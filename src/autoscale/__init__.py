@@ -34,11 +34,8 @@ from .metrics import (
 )
 from .costs import (
     CostKind,
-    build_pair_matrix,
-    cost_per_iteration,
     quadratic_form,
     window_cost,
-    window_cost_batch,
 )
 from .solver import (
     SolverMethod,
@@ -111,11 +108,8 @@ __all__ = [
     "relative_loss",
     "task_std",
     "CostKind",
-    "build_pair_matrix",
-    "cost_per_iteration",
     "quadratic_form",
     "window_cost",
-    "window_cost_batch",
     "SolverMethod",
     "SolverReport",
     "project_feasible",

@@ -265,12 +265,18 @@ class WindowBuffer:
     """A completed observation window: aligned snapshot pairs, oldest first.
 
     Iterations advance by exactly ``stride`` (contiguous when stride is 1) and
-    the buffer never holds more than ``capacity`` pairs.
+    the buffer never holds more than ``capacity`` pairs.  The validated pairs
+    are also stacked once into read-only columns, which is what the window
+    costs read: ``norms`` (T, K), ``grams`` (T, K, K) and ``losses`` (T, K).
+    An empty window has zero-size columns.
     """
 
     pairs: tuple
     capacity: int
     stride: int = 1
+    norms: np.ndarray = field(init=False, repr=False)
+    grams: np.ndarray = field(init=False, repr=False)
+    losses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pairs = tuple(self.pairs)
@@ -295,20 +301,25 @@ class WindowBuffer:
                     f"window iterations must advance by {self.stride}: "
                     f"{prev_iter} -> {grad.iteration}")
             prev_iter = grad.iteration
+        if len({snap.k for pair in pairs for snap in pair}) > 1:
+            raise ValueError("window snapshots must all have the same K")
+        t, k = len(pairs), pairs[0][0].k if pairs else 0
+        object.__setattr__(self, "norms", _frozen_array(
+            [g.norms for g, _ in pairs]).reshape(t, k))
+        object.__setattr__(self, "grams", _frozen_array(
+            [g.gram for g, _ in pairs]).reshape(t, k, k))
+        object.__setattr__(self, "losses", _frozen_array(
+            [l.losses for _, l in pairs]).reshape(t, k))
+
+    @property
+    def k(self) -> int:
+        return self.norms.shape[1]
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def __iter__(self) -> Iterator:
         return iter(self.pairs)
-
-    @property
-    def gradients(self) -> tuple:
-        return tuple(g for g, _ in self.pairs)
-
-    @property
-    def losses(self) -> tuple:
-        return tuple(l for _, l in self.pairs)
 
 
 # ---------------------------------------------------------------------------

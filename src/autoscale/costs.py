@@ -1,37 +1,46 @@
 """Window-averaged balance costs that drive weight selection.
 
-Three interchangeable costs over an observation window, each a function of a
-candidate weight vector:
+Three interchangeable costs over an observation window of T iterations, each
+a function of a candidate weight vector w:
 
-* ``equal-grad-norm`` — squared residual of pairwise weighted gradient-norm
-  differences: rows of a pair-difference matrix built from gradient norms.
-* ``equal-loss`` — the same construction with per-task loss values as the
+* ``equal-grad-norm`` — mean over the window of sum_{i<j} (m_i w_i - m_j w_j)^2
+  with the per-task gradient norms as the magnitudes m, so weighted gradient
+  norms are pushed together.
+* ``equal-loss`` — the same pairwise residual with per-task losses as the
   magnitudes, so weighted losses are pushed together instead.
-* ``low-cond`` — condition number of the weight-scaled task-gradient stack.
+* ``low-cond`` — mean condition number of the weight-scaled task-gradient
+  stack.
 
-The first two are exact quadratic forms w^T M w (see :func:`quadratic_form`),
-solvable in closed form; the condition-number cost is not quadratic and is
-minimized by derivative-free search.  A window's cost is the mean of its
-per-iteration costs.
+Costs read the window's stacked columns (``norms`` and ``losses`` (T, K),
+``grams`` (T, K, K)), never its snapshots one by one.  The first two kinds are
+exact quadratic forms w^T M w, and :func:`quadratic_form` builds M in closed
+form: the mean of A_t^T A_t, where row (i, j) of A_t carries +m_i in column i
+and -m_j in column j; entrywise, M = L * mean_t(m_t m_t^T) with
+L = K I - 11^T.  The condition-number cost is not quadratic: it scales every
+Gram of the window by w w^T and takes all T eigendecompositions in one
+stacked ``eigvalsh`` call.
+
+:func:`window_cost` is the one evaluation path.  A (K,) weight gives a float;
+an (N, K) block gives N costs, and row n equals the (K,) call on that row bit
+for bit.  The quadratic kinds are minimized in closed form, the
+condition-number cost by derivative-free search.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DegenerateInputError,
-    GradientSnapshot,
-    LossSnapshot,
-    WeightVector,
-    WindowBuffer,
-)
+from .core import DegenerateInputError, WeightVector, WindowBuffer
 from .metrics import kappa_from_grams
 
 logger = logging.getLogger(__name__)
+
+#: Most weight-scaled Gram matrices handed to one ``eigvalsh`` call; bounds
+#: the (N, T, K, K) temporary when many weight rows are costed at once.
+EIGVALSH_BATCH = 1 << 16
 
 
 class CostKind(enum.Enum):
@@ -56,169 +65,89 @@ class CostKind(enum.Enum):
             raise ValueError(f"unknown cost kind {value!r}; expected one of: {valid}")
 
 
-@dataclass(frozen=True, eq=False)
-class PairDifferenceMatrix:
-    """Sparse-structured matrix of pairwise weighted-magnitude differences.
-
-    Row for the unordered pair (i, j), i < j in lexicographic order, carries
-    +m_i in column i and -m_j in column j, so (A w)_row = m_i w_i - m_j w_j.
-    """
-
-    matrix: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float, copy=True)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-
-    @property
-    def n_pairs(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[1]
-
-
-def build_pair_matrix(magnitudes) -> PairDifferenceMatrix:
-    """Build the pair-difference matrix from per-task magnitudes.
-
-    For K=3 magnitudes (m1, m2, m3) the rows are
-    [m1, -m2, 0], [m1, 0, -m3], [0, m2, -m3].
-    """
-    mags = np.asarray(magnitudes, dtype=float)
-    if mags.ndim != 1 or mags.size < 2:
-        raise ValueError("need at least two magnitudes")
-    if not np.all(np.isfinite(mags)) or np.any(mags < 0):
-        raise ValueError("magnitudes must be finite and nonnegative")
-    k = mags.size
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    matrix = np.zeros((len(pairs), k))
-    for row, (i, j) in enumerate(pairs):
-        matrix[row, i] = mags[i]
-        matrix[row, j] = -mags[j]
-    return PairDifferenceMatrix(matrix=matrix, pairs=tuple(pairs))
-
-
-def _as_weight_array(weights, k: int) -> np.ndarray:
-    w = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, float)
-    if w.shape != (k,):
-        raise ValueError(f"weights must have length {k}, got shape {w.shape}")
-    return w
-
-
-def _iteration_magnitudes(kind: CostKind,
-                          grad_snapshot: GradientSnapshot,
-                          loss_snapshot: LossSnapshot | None) -> np.ndarray:
-    if kind is CostKind.EQUAL_GRAD_NORM:
-        return np.asarray(grad_snapshot.norms)
-    if kind is CostKind.EQUAL_LOSS:
-        if loss_snapshot is None:
-            raise ValueError("equal-loss cost needs a loss snapshot")
-        return np.asarray(loss_snapshot.losses)
-    raise ValueError(f"{kind} has no magnitude vector")
-
-
-def cost_per_iteration(kind,
-                       weights,
-                       grad_snapshot: GradientSnapshot,
-                       loss_snapshot: LossSnapshot | None = None) -> float:
-    """Cost of one snapshot under a candidate weight vector."""
-    kind = CostKind.parse(kind)
-    w = _as_weight_array(weights, grad_snapshot.k)
-    if kind is CostKind.LOW_CONDITION_NUMBER:
-        gram = grad_snapshot.gram * np.outer(w, w)
-        kappa, _ = kappa_from_grams(gram)
-        if np.isnan(kappa):
-            raise DegenerateInputError(
-                "low-cond cost: weight-scaled Gram has no positive eigenvalue")
-        return float(kappa)
-    a = build_pair_matrix(_iteration_magnitudes(kind, grad_snapshot, loss_snapshot))
-    r = a.matrix @ w
-    return float(r @ r)
-
-
-def window_cost(kind, weights, window: WindowBuffer) -> float:
-    """Mean per-iteration cost over a window.
-
-    Iterations that are degenerate for the requested cost (only possible for
-    ``low-cond``, when a scaled Gram has no positive eigenvalue) are skipped
-    and logged; the mean runs over the remaining iterations.  Raises
-    ``DegenerateInputError`` if nothing remains.
-    """
-    kind = CostKind.parse(kind)
-    if len(window) == 0:
-        raise ValueError("window_cost needs a non-empty window")
-    values = []
-    skipped = 0
-    for grad, loss in window:
-        try:
-            values.append(cost_per_iteration(kind, weights, grad, loss))
-        except DegenerateInputError:
-            skipped += 1
-    if skipped:
-        logger.debug("window_cost(%s): skipped %d degenerate iteration(s), "
-                     "effective window %d", kind.value, skipped, len(values))
-    if not values:
-        raise DegenerateInputError(
-            f"window_cost({kind.value}): every iteration in the window is degenerate")
-    return float(np.mean(values))
-
-
 def quadratic_form(kind, window: WindowBuffer) -> np.ndarray:
-    """The K x K matrix M with window_cost(kind, w) == w^T M w.
+    """The K x K matrix M with window_cost(kind, w, window) == w^T M w.
 
-    Defined for the two quadratic kinds only: M is the mean over the window of
-    A_t^T A_t, where A_t is the per-iteration pair-difference matrix.
+    Defined for the two quadratic kinds only: M is the mean over the window
+    of A_t^T A_t, where A_t is iteration t's pair-difference matrix.  The
+    products are taken on the stacked (T, pairs, K) array of all A_t rather
+    than entrywise as L * mean_t(m_t m_t^T): from K=4 on, the entrywise form
+    rounds the diagonal differently and moves the chosen weights in their
+    last bits.
     """
     kind = CostKind.parse(kind)
     if not kind.is_quadratic:
         raise ValueError(f"{kind.value} is not a quadratic cost")
     if len(window) == 0:
         raise ValueError("quadratic_form needs a non-empty window")
-    k = window.pairs[0][0].k
-    m = np.zeros((k, k))
-    for grad, loss in window:
-        a = build_pair_matrix(_iteration_magnitudes(kind, grad, loss)).matrix
-        m += a.T @ a
-    m /= len(window)
+    if window.k < 2:
+        raise ValueError("quadratic costs need at least two tasks")
+    mags = window.norms if kind is CostKind.EQUAL_GRAD_NORM else window.losses
+    first, second = np.array(list(itertools.combinations(range(window.k), 2))).T
+    pair = np.arange(first.size)
+    a = np.zeros((len(window), first.size, window.k))
+    a[:, pair, first] = mags[:, first]
+    a[:, pair, second] = -mags[:, second]
+    m = np.matmul(a.transpose(0, 2, 1), a).sum(axis=0) / len(window)
     return 0.5 * (m + m.T)
 
 
-def window_cost_batch(kind, weight_rows: np.ndarray, window: WindowBuffer,
-                      chunk: int = 4096) -> np.ndarray:
-    """Vectorized :func:`window_cost` over many candidate weight vectors.
+def _low_cond_costs(rows: np.ndarray, window: WindowBuffer) -> np.ndarray:
+    """Mean condition number per weight row over the window's valid iterations.
 
-    ``weight_rows`` is (N, K); returns the N window costs.  Semantics match
-    the scalar path, including the skip of degenerate low-cond iterations.
+    An iteration whose scaled Gram has no positive eigenvalue is skipped; a
+    row with no valid iteration left raises ``DegenerateInputError``.
+    """
+    t = len(window)
+    per_call = max(1, EIGVALSH_BATCH // t)
+    out = np.empty(rows.shape[0])
+    skipped = 0
+    for start in range(0, rows.shape[0], per_call):
+        block = rows[start:start + per_call]
+        outer = block[:, None, :, None] * block[:, None, None, :]   # (n, 1, K, K)
+        kappa, _ = kappa_from_grams(window.grams * outer)            # (n, T)
+        valid = ~np.isnan(kappa)
+        means = kappa.mean(axis=1)
+        # A row that skipped iterations is re-averaged over its valid ones
+        # alone, in the same order a single-row call would sum them.
+        for i in np.flatnonzero(~valid.all(axis=1)):
+            if not valid[i].any():
+                raise DegenerateInputError(
+                    "window_cost(low-cond): every iteration in the window is "
+                    "degenerate")
+            means[i] = np.mean(kappa[i][valid[i]])
+            skipped += int(t - valid[i].sum())
+        out[start:start + len(block)] = means
+    if skipped:
+        logger.debug("window_cost(low-cond): skipped %d degenerate iteration(s) "
+                     "over %d weight row(s) of a %d-iteration window",
+                     skipped, rows.shape[0], t)
+    return out
+
+
+def window_cost(kind, weights, window: WindowBuffer):
+    """Mean per-iteration cost over a window, for one or many weight vectors.
+
+    ``weights`` is a WeightVector or (K,) array, giving a float, or an (N, K)
+    array of weight rows, giving an (N,) array.  Iterations that are
+    degenerate for the requested cost (only possible for ``low-cond``, when a
+    scaled Gram has no positive eigenvalue) are skipped and logged; the mean
+    runs over the remaining iterations.  Raises ``DegenerateInputError`` if
+    nothing remains for some row.
     """
     kind = CostKind.parse(kind)
-    rows = np.asarray(weight_rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("weight_rows must be (N, K)")
     if len(window) == 0:
-        raise ValueError("window_cost_batch needs a non-empty window")
-    k = window.pairs[0][0].k
-    if rows.shape[1] != k:
-        raise ValueError(f"weight rows must have K={k} columns")
-
+        raise ValueError("window_cost needs a non-empty window")
+    w = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, float)
+    if w.ndim not in (1, 2) or w.shape[-1] != window.k:
+        raise ValueError(f"weights must be (K,) or (N, K) with K={window.k}, "
+                         f"got shape {w.shape}")
+    rows = np.atleast_2d(w)
     if kind.is_quadratic:
         m = quadratic_form(kind, window)
-        return np.einsum("nk,kl,nl->n", rows, m, rows)
-
-    grams = np.stack([g.gram for g, _ in window])          # (T, K, K)
-    outer = rows[:, :, None] * rows[:, None, :]             # (N, K, K)
-    out = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], chunk):
-        block = outer[start:start + chunk]
-        scaled = grams[None, :, :, :] * block[:, None, :, :]
-        kappa, _ = kappa_from_grams(scaled)                 # (n, T)
-        valid = ~np.isnan(kappa)
-        counts = valid.sum(axis=1)
-        if np.any(counts == 0):
-            raise DegenerateInputError(
-                "window_cost_batch(low-cond): some weight row leaves no valid iteration")
-        out[start:start + chunk] = np.where(valid, kappa, 0.0).sum(axis=1) / counts
-    return out
+        # Elementwise, then one sum per row: each row of an (N, K) call then
+        # rounds exactly like the (K,) call (einsum and matmul do not).
+        costs = np.sum(rows[:, :, None] * m * rows[:, None, :], axis=(1, 2))
+    else:
+        costs = _low_cond_costs(rows, window)
+    return float(costs[0]) if w.ndim == 1 else costs

@@ -1,13 +1,17 @@
-"""Small builders shared by the test modules."""
+"""Small builders shared by the test modules, and the per-iteration cost oracle."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from autoscale import (
     TRACE_FIELDS,
+    CostKind,
+    DegenerateInputError,
     LossSnapshot,
     TraceLine,
     WindowBuffer,
+    kappa_from_grams,
     snapshot_from_gradients,
 )
 
@@ -129,3 +133,96 @@ def simplex_grid(k, step=0.01):
             blocks.append(np.column_stack([np.full(j.size, i), j, units - i - j]))
         return np.vstack(blocks).astype(float) * step
     raise ValueError("grids are only generated for K in {2, 3}")
+
+
+# ---------------------------------------------------------------------------
+# per-iteration cost oracle
+# ---------------------------------------------------------------------------
+#
+# The library costs a whole window at once from its stacked columns.  These
+# helpers cost it the slow, literal way -- one snapshot at a time, through an
+# explicit pair-difference matrix -- so tests can check the stacked path
+# against the definition.
+
+@dataclass(frozen=True, eq=False)
+class PairDifferenceMatrix:
+    """Sparse-structured matrix of pairwise weighted-magnitude differences.
+
+    Row for the unordered pair (i, j), i < j in lexicographic order, carries
+    +m_i in column i and -m_j in column j, so (A w)_row = m_i w_i - m_j w_j.
+    """
+
+    matrix: np.ndarray
+    pairs: tuple
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=float, copy=True)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
+
+    @property
+    def n_pairs(self):
+        return self.matrix.shape[0]
+
+    @property
+    def k(self):
+        return self.matrix.shape[1]
+
+
+def build_pair_matrix(magnitudes):
+    """Build the pair-difference matrix from per-task magnitudes.
+
+    For K=3 magnitudes (m1, m2, m3) the rows are
+    [m1, -m2, 0], [m1, 0, -m3], [0, m2, -m3].
+    """
+    mags = np.asarray(magnitudes, dtype=float)
+    if mags.ndim != 1 or mags.size < 2:
+        raise ValueError("need at least two magnitudes")
+    if not np.all(np.isfinite(mags)) or np.any(mags < 0):
+        raise ValueError("magnitudes must be finite and nonnegative")
+    k = mags.size
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    matrix = np.zeros((len(pairs), k))
+    for row, (i, j) in enumerate(pairs):
+        matrix[row, i] = mags[i]
+        matrix[row, j] = -mags[j]
+    return PairDifferenceMatrix(matrix=matrix, pairs=tuple(pairs))
+
+
+def iteration_cost(kind, w, grad, loss):
+    """Cost of one snapshot pair under the weight array ``w``."""
+    kind = CostKind.parse(kind)
+    if kind is CostKind.LOW_CONDITION_NUMBER:
+        kappa, _ = kappa_from_grams(grad.gram * np.outer(w, w))
+        if np.isnan(kappa):
+            raise DegenerateInputError("scaled Gram has no positive eigenvalue")
+        return float(kappa)
+    mags = grad.norms if kind is CostKind.EQUAL_GRAD_NORM else loss.losses
+    r = build_pair_matrix(mags).matrix @ w
+    return float(r @ r)
+
+
+def oracle_window_cost(kind, w, win):
+    """Mean of :func:`iteration_cost` over the window's non-degenerate pairs."""
+    values = []
+    for grad, loss in win:
+        try:
+            values.append(iteration_cost(kind, w, grad, loss))
+        except DegenerateInputError:
+            pass
+    if not values:
+        raise DegenerateInputError("every iteration in the window is degenerate")
+    return float(np.mean(values))
+
+
+def oracle_quadratic_form(kind, win):
+    """Mean over the window of A_t^T A_t, one iteration at a time."""
+    kind = CostKind.parse(kind)
+    k = win.k
+    m = np.zeros((k, k))
+    for grad, loss in win:
+        mags = grad.norms if kind is CostKind.EQUAL_GRAD_NORM else loss.losses
+        a = build_pair_matrix(mags).matrix
+        m += a.T @ a
+    return m / len(win)

@@ -133,7 +133,7 @@ def test_criterion_02_solver_oracle(report):
             k = 2 if i % 2 == 0 else 3
             win = random_window(rng, k=k, d=int(rng.integers(3, 9)),
                                 n=int(rng.integers(2, 6)))
-            grid_best = float(a.window_cost_batch(kind, grids[k], win).min())
+            grid_best = float(a.window_cost(kind, grids[k], win).min())
 
             fn = lambda wv: a.window_cost(kind, wv, win)
             solved = a.solve_general(fn, w_init=a.uniform_weights(k), seed=0)

@@ -180,8 +180,32 @@ def _pair(t):
 def test_window_accepts_contiguous_pairs():
     w = WindowBuffer(pairs=(_pair(0), _pair(1), _pair(2)), capacity=3)
     assert len(w) == 3
-    assert [g.iteration for g in w.gradients] == [0, 1, 2]
-    assert [l.iteration for l in w.losses] == [0, 1, 2]
+    assert [g.iteration for g, _ in w] == [0, 1, 2]
+    assert [l.iteration for _, l in w] == [0, 1, 2]
+
+
+def test_window_columns_stack_the_pairs():
+    pairs = [(grad_snap([[1.0, 0.0], [0.0, 2.0 + t]], iteration=t),
+              loss_snap([1.0 + t, 3.0], iteration=t)) for t in range(3)]
+    w = WindowBuffer(pairs=tuple(pairs), capacity=3)
+    assert w.k == 2
+    assert w.norms.shape == (3, 2) and w.grams.shape == (3, 2, 2)
+    assert w.losses.shape == (3, 2)
+    for t, (g, l) in enumerate(pairs):
+        assert np.array_equal(w.norms[t], g.norms)
+        assert np.array_equal(w.grams[t], g.gram)
+        assert np.array_equal(w.losses[t], l.losses)
+    for arr in (w.norms, w.grams, w.losses):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0                                      # read-only
+    empty = WindowBuffer(pairs=(), capacity=1)
+    assert len(empty) == 0 and empty.grams.size == 0
+
+
+def test_window_rejects_mixed_task_counts():
+    three = (grad_snap(np.eye(3), iteration=1), loss_snap([1.0, 1.0, 1.0], iteration=1))
+    with pytest.raises(ValueError, match="same K"):
+        WindowBuffer(pairs=(_pair(0), three), capacity=2)
 
 
 def test_window_rejects_gaps_and_misalignment():

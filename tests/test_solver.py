@@ -167,8 +167,7 @@ def test_solve_general_beats_coarse_grid():
     report = solve_general(lambda w: window_cost("low-cond", w, win),
                            w_init=uniform_weights(3), seed=0)
     grid = simplex_grid(3, step=0.05)
-    from autoscale import window_cost_batch
-    costs = window_cost_batch("low-cond", grid, win)
+    costs = window_cost("low-cond", grid, win)
     assert report.cost_at_w_star <= float(costs.min()) + 1e-3
 
 
