@@ -4,9 +4,10 @@ Each case runs one ``autoscale run`` command in-process and compares the
 SHA-256 of the trace (JSONL) and of the summary (JSON) it writes against a
 digest recorded before any change to the numerical path.  The matrix covers
 every window-cost kind on the reference problem, stride > 1, fixed and
-random-loss weighting, the MLP family at K=3, and a K=6 quadratic problem
-(from K=4 on, the order of the floating-point sums that build the
-quadratic form shows in the last bits of the chosen weights).  A refactor
+random-loss weighting, the MLP family at K=3 and K=8, and a K=6 quadratic
+problem (from K=4 on, the order of the floating-point sums that build the
+quadratic form shows in the last bits of the chosen weights; the 28 task
+pairs of K=8 take numpy's pairwise summation path in the pair means).  A refactor
 that claims "same outputs" must leave every digest unchanged; a change
 that moves results on purpose re-pins them here and says why.
 
@@ -46,6 +47,12 @@ CASES = {
         "--cost", "equal-grad-norm", "--total-iters", "300",
         "--exploration-ratio", "0.5", "--window-size", "50",
         "--aggregation-size", "2", "--baseline-iters", "100", "--seed", "9"),
+    "mlp-k8": (
+        "--method", "autoscale", "--problem", "mlp", "--k", "8",
+        "--cost", "equal-grad-norm", "--total-iters", "200",
+        "--exploration-ratio", "0.5", "--window-size", "50",
+        "--aggregation-size", "2", "--baseline-iters", "20",
+        "--step-size", "0.05", "--seed", "11"),
     "quadratic-k6": (
         "--method", "autoscale", "--problem", "quadratic", "--k", "6",
         "--scales", "1,2.5,4,0.5,3,1.7", "--conflict-angle", "70",
@@ -59,6 +66,9 @@ DIGESTS = {
     "mlp-k3": (
         "4f1eaea64ff68cc470aedff3012ffb219c6052be9f2ff81fbccde7f175499564",
         "b92c8136a0d393340fef91378d800666fe402ac433733eb9ec283aaa71141f8e"),
+    "mlp-k8": (
+        "f865bd216c8d09d7494b80e375032bbd0d0a7eea7af4a43313a71b6155bf63de",
+        "3cdf04ded43bbc04bf8f4a57d605beea9d12f3c5a77e16db06361f0d04f460b4"),
     "quadratic-k6": (
         "c9312a37a01b1f1e1fd672e24fcf8409b94e1e5878955ef401bff67f0117bc4f",
         "b89b4afa6d790d7c34e662286bb6a02bb7251dede7abc76ae979f333011ab1a7"),
