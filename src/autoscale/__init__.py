@@ -10,6 +10,7 @@ reference optima, evaluation utilities, and a trace/CSV command-line shell.
 from .core import (
     DEFAULT_WEIGHT_FLOOR,
     DegenerateInputError,
+    DivergenceError,
     GradientSnapshot,
     LossSnapshot,
     MetricRecord,
@@ -28,6 +29,7 @@ from .metrics import (
     kappa_from_grams,
     loss_descending_rate,
     metric_record,
+    metric_records,
     pairwise_mean,
     relative_loss,
     task_std,
@@ -56,7 +58,6 @@ from .scheduler import (
 from .bench import (
     MLPRegressionFamily,
     QuadraticFamily,
-    finite_difference_gradients,
     imbalanced_reference_problem,
     make_mlp_problem,
     make_quadratic_problem,
@@ -88,6 +89,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_WEIGHT_FLOOR",
     "DegenerateInputError",
+    "DivergenceError",
     "GradientSnapshot",
     "LossSnapshot",
     "MetricRecord",
@@ -104,6 +106,7 @@ __all__ = [
     "kappa_from_grams",
     "loss_descending_rate",
     "metric_record",
+    "metric_records",
     "pairwise_mean",
     "relative_loss",
     "task_std",
@@ -124,7 +127,6 @@ __all__ = [
     "run_weight_schedule",
     "MLPRegressionFamily",
     "QuadraticFamily",
-    "finite_difference_gradients",
     "imbalanced_reference_problem",
     "make_mlp_problem",
     "make_quadratic_problem",

@@ -144,7 +144,7 @@ def _equiangular_directions(k: int, d: int, conflict_angle: float,
     if d < k:
         raise ValueError(f"dimension {d} too small for {k} tasks")
     c = math.cos(conflict_angle)
-    if c > 1.0 or c < -1.0 / (k - 1) - 1e-12:
+    if k >= 2 and (c > 1.0 or c < -1.0 / (k - 1) - 1e-12):
         raise ValueError(
             f"no {k} unit vectors can pairwise meet at angle {conflict_angle} "
             f"(cos = {c:.4f} below the -1/(K-1) bound)")
@@ -395,22 +395,6 @@ def make_mlp_problem(k: int, input_dim: int = 2, width: int = 16,
 # ---------------------------------------------------------------------------
 # baselines and samplers
 # ---------------------------------------------------------------------------
-
-def finite_difference_gradients(problem, theta: np.ndarray) -> np.ndarray:
-    """Central-difference task gradients; the ground truth for gradient tests."""
-    theta = np.asarray(theta, dtype=float)
-    k = problem.num_tasks
-    grads = np.zeros((k, theta.size))
-    for i in range(theta.size):
-        step = 1e-6 * (1.0 + abs(float(theta[i])))
-        plus = theta.copy()
-        plus[i] += step
-        minus = theta.copy()
-        minus[i] -= step
-        grads[:, i] = (np.asarray(problem.task_losses(plus)) -
-                       np.asarray(problem.task_losses(minus))) / (2.0 * step)
-    return grads
-
 
 def run_stl_baselines(problem, total_iters: int) -> np.ndarray:
     """Best per-task loss from independent single-task training runs.

@@ -159,15 +159,16 @@ def compute_baselines(problem, cfg: RunConfig) -> tuple[np.ndarray, str]:
     return run_stl_baselines(problem, iters), "stl"
 
 
-def _run_mean_metrics(run: TrainingRun) -> dict:
-    gms = [r.gms_mean for r in run.records if r.gms_mean is not None]
-    gcs = [r.gcs_mean for r in run.records if r.gcs_mean is not None]
+def _run_mean_metrics(rows) -> dict:
+    """The SUMMARY_METRICS means over metric records or trace lines."""
+    gms = [r.gms_mean for r in rows if r.gms_mean is not None]
+    gcs = [r.gcs_mean for r in rows if r.gcs_mean is not None]
     return {
         "mean_gms": float(np.mean(gms)) if gms else None,
         "mean_gcs": float(np.mean(gcs)) if gcs else None,
-        "mean_cond": float(np.mean([r.cond_number for r in run.records])),
-        "mean_ilr_std": float(np.mean([r.ilr_std for r in run.records])),
-        "mean_rl_std": float(np.mean([r.rl_std for r in run.records])),
+        "mean_cond": float(np.mean([r.cond_number for r in rows])),
+        "mean_ilr_std": float(np.mean([r.ilr_std for r in rows])),
+        "mean_rl_std": float(np.mean([r.rl_std for r in rows])),
     }
 
 
@@ -233,7 +234,7 @@ def execute_run(cfg: RunConfig) -> dict:
     summary["delta_m_deg"] = delta_m_deg(scores)
     fw = run.weight_history.final_weight
     summary["final_weights"] = None if fw is None else [float(v) for v in fw.w]
-    summary.update(_run_mean_metrics(run))
+    summary.update(_run_mean_metrics(run.records))
     summary["_run"] = run
     return summary
 
@@ -447,16 +448,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             rows = [[line.iter] + [columns[c][i] for c in _TRAJECTORY_COLUMNS]
                     for i, line in enumerate(lines)]
             _write_csv(out_path, header, rows)
-            gms = [l.gms_mean for l in lines if l.gms_mean is not None]
-            gcs = [l.gcs_mean for l in lines if l.gcs_mean is not None]
-            agg_rows.append([
-                run_id, lines[0].method, lines[0].cost_kind, len(lines),
-                float(np.mean(gms)) if gms else None,
-                float(np.mean(gcs)) if gcs else None,
-                float(np.mean([l.cond_number for l in lines])),
-                float(np.mean([l.ilr_std for l in lines])),
-                float(np.mean([l.rl_std for l in lines])),
-            ])
+            agg_rows.append([run_id, lines[0].method, lines[0].cost_kind, len(lines),
+                             *_run_mean_metrics(lines).values()])
             wrote_anything = True
         agg_path = os.path.join(args.out_dir, "aggregates.csv")
         _write_csv(agg_path,

@@ -37,11 +37,22 @@ class DegenerateInputError(ValueError):
     """
 
 
+class DivergenceError(ValueError):
+    """Training produced a non-finite task loss or gradient; the message names
+    the iteration, the last finite task losses and the weights in effect."""
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     """Copy ``values`` into a read-only ndarray (defensive immutability)."""
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    """The seed sequence of one 64-bit seed and a stream key."""
+    return np.random.SeedSequence(entropy=int(seed) & _U64,
+                                  spawn_key=tuple(int(k) for k in key))
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
@@ -52,9 +63,7 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     own counter-based stream, so adding or reordering consumers never perturbs
     the draws of another.
     """
-    ss = np.random.SeedSequence(entropy=int(seed) & _U64,
-                                spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(seed_sequence(seed, *key)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +183,7 @@ class GradientSnapshot:
             raise ValueError("norms must be a non-empty vector")
         if gram.shape != (k, k):
             raise ValueError(f"gram must be {k}x{k}, got {gram.shape}")
-        if not (np.all(np.isfinite(norms)) and np.all(np.isfinite(gram))):
-            raise ValueError("snapshot entries must be finite")
-        if np.any(norms < 0):
-            raise ValueError("gradient norms must be nonnegative")
-        scale = max(1.0, float(np.abs(gram).max()))
-        if float(np.abs(gram - gram.T).max()) > 1e-10 * scale:
-            raise ValueError("gram matrix must be symmetric (1e-10 relative)")
-        diag = np.diag(gram)
-        sq = norms ** 2
-        if np.any(np.abs(diag - sq) > 1e-8 * np.maximum(1.0, sq)):
-            raise ValueError("gram diagonal must equal squared norms (1e-8 relative)")
-        bound = np.outer(norms, norms)
-        if np.any(np.abs(gram) > bound * (1.0 + 1e-8) + 1e-12):
-            raise ValueError("gram entries violate the Cauchy-Schwarz bound")
+        raise_first_fault(gradient_faults(norms[None], gram[None]))
         if not (isinstance(self.iteration, (int, np.integer)) and self.iteration >= 0):
             raise ValueError(f"iteration must be a nonnegative int, got {self.iteration!r}")
         object.__setattr__(self, "iteration", int(self.iteration))
@@ -206,14 +202,59 @@ def snapshot_from_gradients(task_gradients, iteration: int = 0) -> GradientSnaps
     g = np.asarray(task_gradients, dtype=float)
     if g.ndim != 2:
         raise ValueError(f"expected a (K, D) gradient stack, got shape {g.shape}")
-    gram = g @ g.T
-    # Symmetrize away the last-bit asymmetry of floating matmul.
-    gram = 0.5 * (gram + gram.T)
-    norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
-    # Rewrite the diagonal from the norms so both views agree bit-for-bit.
-    gram = gram.copy()
-    np.fill_diagonal(gram, norms ** 2)
+    norms, gram = compress_grams(g @ g.T)
     return GradientSnapshot(norms=norms, gram=gram, iteration=iteration)
+
+
+def compress_grams(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Norms and snapshot Grams from (..., K, K) raw ``g @ g.T`` products:
+    symmetrized (a floating matmul may be asymmetric in the last bit), with
+    the diagonal rewritten as the squared norms so both views agree exactly."""
+    gram = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    norms = np.sqrt(np.maximum(np.diagonal(gram, axis1=-2, axis2=-1), 0.0))
+    diag = np.arange(gram.shape[-1])
+    gram[..., diag, diag] = norms ** 2
+    return norms, gram
+
+
+def gradient_faults(norms: np.ndarray, grams: np.ndarray) -> list:
+    """(failing rows, message) of each GradientSnapshot value check, in order,
+    over stacked (B, K) norms and (B, K, K) grams."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        sq = norms ** 2
+        scale = np.maximum(1.0, np.abs(grams).max(axis=(1, 2)))
+        bound = norms[:, :, None] * norms[:, None, :] * (1.0 + 1e-8) + 1e-12
+        return [
+            (~(np.isfinite(norms).all(axis=1) & np.isfinite(grams).all(axis=(1, 2))),
+             "snapshot entries must be finite"),
+            ((norms < 0).any(axis=1), "gradient norms must be nonnegative"),
+            (np.abs(grams - np.swapaxes(grams, 1, 2)).max(axis=(1, 2)) > 1e-10 * scale,
+             "gram matrix must be symmetric (1e-10 relative)"),
+            ((np.abs(np.diagonal(grams, axis1=1, axis2=2) - sq)
+              > 1e-8 * np.maximum(1.0, sq)).any(axis=1),
+             "gram diagonal must equal squared norms (1e-8 relative)"),
+            ((np.abs(grams) > bound).any(axis=(1, 2)),
+             "gram entries violate the Cauchy-Schwarz bound"),
+        ]
+
+
+def loss_faults(losses: np.ndarray, initial: np.ndarray, prev: np.ndarray) -> list:
+    """The LossSnapshot value checks over stacked (B, K) rows, in order."""
+    return [
+        (~np.isfinite(losses).all(axis=1), "losses must be finite"),
+        (~np.isfinite(initial).all(axis=1), "initial_losses must be finite"),
+        (~np.isfinite(prev).all(axis=1), "prev_losses must be finite"),
+        ((losses < 0).any(axis=1), "losses must be nonnegative"),
+        ((initial <= 0).any(axis=1), "initial_losses must be strictly positive"),
+    ]
+
+
+def raise_first_fault(faults) -> None:
+    """Raise the first failed check of the first failing row, as building the
+    rows' snapshots one at a time would."""
+    bad = np.array([rows for rows, _ in faults])
+    if bad.any():
+        raise ValueError(faults[int(bad[:, int(bad.any(axis=0).argmax())].argmax())][1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,14 +284,7 @@ class LossSnapshot:
             raise ValueError("losses must be a non-empty vector")
         if initial.shape != (k,) or prev.shape != (k,):
             raise ValueError("losses, initial_losses and prev_losses must share length")
-        for name, arr in (("losses", losses), ("initial_losses", initial),
-                          ("prev_losses", prev)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-        if np.any(losses < 0):
-            raise ValueError("losses must be nonnegative")
-        if np.any(initial <= 0):
-            raise ValueError("initial_losses must be strictly positive")
+        raise_first_fault(loss_faults(losses[None], initial[None], prev[None]))
         if not (isinstance(self.iteration, (int, np.integer)) and self.iteration >= 0):
             raise ValueError(f"iteration must be a nonnegative int, got {self.iteration!r}")
         object.__setattr__(self, "iteration", int(self.iteration))

@@ -13,6 +13,11 @@ The condition number never touches raw gradients: for the D x K stack G it
 equals sqrt(lambda_max / lambda_min) of the K x K Gram matrix G^T G, so the
 compressed snapshot is enough.  Near-singular Gram matrices are floored at
 ``COND_EPS_LAMBDA * lambda_max`` and the flooring is flagged.
+
+A run records its iterations through :func:`metric_records`: one vectorized
+pass over a block of stacked rows validates them as the snapshot types would
+and computes every metric column; :func:`metric_record` is its one-row case.
+The per-snapshot functions define each metric one value at a time.
 """
 from __future__ import annotations
 
@@ -26,10 +31,15 @@ from .core import (
     LossSnapshot,
     MetricRecord,
     WeightVector,
+    gradient_faults,
+    loss_faults,
+    raise_first_fault,
 )
 
 #: Relative floor applied to the smallest Gram eigenvalue before the ratio.
 COND_EPS_LAMBDA = 1e-12
+
+_NO_POSITIVE_EIGENVALUE = "condition_number: Gram matrix has no positive eigenvalue"
 
 
 def _check_pair(snapshot: GradientSnapshot, i: int, j: int) -> None:
@@ -112,21 +122,6 @@ def kappa_from_grams(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kappa, floored
 
 
-def _condition_number(snapshot: GradientSnapshot,
-                      weights: WeightVector | Sequence[float] | None = None,
-                      ) -> tuple[float, bool]:
-    gram = snapshot.gram
-    if weights is not None:
-        w = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, float)
-        if w.shape != (snapshot.k,):
-            raise ValueError(f"weights must have length {snapshot.k}, got {w.shape}")
-        gram = gram * np.outer(w, w)
-    kappa, floored = kappa_from_grams(gram)
-    if np.isnan(kappa):
-        raise DegenerateInputError("condition_number: Gram matrix has no positive eigenvalue")
-    return float(kappa), bool(floored)
-
-
 def condition_number(snapshot: GradientSnapshot,
                      weights: WeightVector | Sequence[float] | None = None) -> float:
     """Condition number of the (optionally weight-scaled) task-gradient stack.
@@ -134,8 +129,16 @@ def condition_number(snapshot: GradientSnapshot,
     With ``weights`` given, the Gram matrix is scaled to diag(w) G^T G diag(w),
     i.e. the Gram of the stack whose k-th column is w_k * g_k.  Always >= 1.
     """
-    kappa, _ = _condition_number(snapshot, weights)
-    return kappa
+    gram = snapshot.gram
+    if weights is not None:
+        w = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, float)
+        if w.shape != (snapshot.k,):
+            raise ValueError(f"weights must have length {snapshot.k}, got {w.shape}")
+        gram = gram * np.outer(w, w)
+    kappa, _ = kappa_from_grams(gram)
+    if np.isnan(kappa):
+        raise DegenerateInputError(_NO_POSITIVE_EIGENVALUE)
+    return float(kappa)
 
 
 def pairwise_mean(per_pair_metric: Callable[[GradientSnapshot, int, int], float],
@@ -147,30 +150,21 @@ def pairwise_mean(per_pair_metric: Callable[[GradientSnapshot, int, int], float]
     ``skip_degenerate`` they are left out of the mean (an error is still
     raised if no valid pair remains).
     """
-    mean, _ = _pairwise_mean_flagged(per_pair_metric, snapshot, skip_degenerate)
-    if mean is None:
-        raise DegenerateInputError(
-            f"{getattr(per_pair_metric, '__name__', 'pair metric')}: every task pair degenerate")
-    return mean
-
-
-def _pairwise_mean_flagged(per_pair_metric, snapshot, skip_degenerate):
     k = snapshot.k
     if k < 2:
         raise ValueError("pairwise_mean needs at least two tasks")
-    name = getattr(per_pair_metric, "__name__", "pair_metric")
     values = []
-    flags = []
     for i in range(k):
         for j in range(i + 1, k):
             try:
                 values.append(float(per_pair_metric(snapshot, i, j)))
-            except DegenerateInputError as exc:
+            except DegenerateInputError:
                 if not skip_degenerate:
                     raise
-                flags.append(f"{name}({i},{j}) skipped: {exc}")
-    mean = float(np.mean(values)) if values else None
-    return mean, tuple(flags)
+    if not values:
+        raise DegenerateInputError(
+            f"{getattr(per_pair_metric, '__name__', 'pair metric')}: every task pair degenerate")
+    return float(np.mean(values))
 
 
 def task_std(values) -> float:
@@ -183,16 +177,80 @@ def task_std(values) -> float:
     return float(np.std(arr))
 
 
+def metric_records(norms, grams, losses, initial_losses, prev_losses, weights,
+                   iterations) -> list[MetricRecord]:
+    """Validate stacked snapshot rows and assemble one metric record per row.
+
+    Row n holds iteration ``iterations[n]``: gradient ``norms`` (B, K),
+    snapshot ``grams`` (B, K, K), task ``losses`` and ``prev_losses`` (B, K),
+    ``initial_losses`` (K,) or (B, K) and the ``weights`` (B, K) in effect.
+    The first row failing a GradientSnapshot or LossSnapshot check raises the
+    ValueError its snapshots would.  Degenerate pairs are left out of the pair
+    means; ``degenerate_flags`` lists them (magnitude, then cosine), then a
+    degenerate or floored condition number, descending rate or relative loss.
+    """
+    norms, grams, losses, prev, weights = (
+        np.ascontiguousarray(a, dtype=float)
+        for a in (norms, grams, losses, prev_losses, weights))
+    b, k = norms.shape
+    initial = np.broadcast_to(np.asarray(initial_losses, dtype=float), (b, k))
+    iterations = [int(t) for t in iterations]
+    first = np.array(iterations) == 0
+    iu, ju = np.triu_indices(k, 1)
+    n_i, n_j = norms[:, iu], norms[:, ju]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ilr, ldr = losses / initial, losses / prev
+        total = losses.sum(axis=1, keepdims=True)
+        rl = losses / total
+        gms = 2.0 * n_i * n_j / (n_i * n_i + n_j * n_j)
+        cos = grams[:, iu, ju] / (n_i * n_j)
+    faults = gradient_faults(norms, grams) + loss_faults(losses, initial, prev)
+    if k >= 2:
+        faults.append((~np.isfinite(ilr).all(axis=1), "task_std input must be finite"))
+    raise_first_fault(faults)
+
+    flags = [[] if k >= 2 else ["pair metrics skipped: single task"] for _ in range(b)]
+    pair_means = [[None] * b] * 2
+    # Python's max(-1, x) and min(1, x), NaN handling included.
+    cos = np.where(cos > -1.0, cos, -1.0)
+    for n, (values, valid, flag) in enumerate((
+            (gms, (n_i != 0.0) | (n_j != 0.0),
+             "grad_magnitude_similarity({0}) skipped: gms({0}): both gradient norms are zero"),
+            (cos, (n_i != 0.0) & (n_j != 0.0),
+             "grad_cosine_similarity({0}) skipped: gcs({0}): zero-norm gradient"),
+    ) if k >= 2 else ()):
+        values = np.where(values < 1.0, values, 1.0)
+        # Over a C-contiguous array each row sums in the order of a 1-d mean.
+        pair_means[n] = means = np.ascontiguousarray(values).mean(axis=1).tolist()
+        for r in np.flatnonzero(~valid.all(axis=1)):
+            kept = values[r][valid[r]]
+            means[r] = float(kept.mean()) if kept.size else None
+            flags[r] += [flag.format(f"{i},{j}") for i, j in zip(iu[~valid[r]], ju[~valid[r]])]
+
+    kappa, floored = kappa_from_grams(grams)
+    for r in np.flatnonzero(floored | np.isnan(kappa)):
+        flags[r].append("cond_number floored: Gram numerically singular" if floored[r]
+                        else f"cond_number degenerate: {_NO_POSITIVE_EIGENVALUE}")
+    bad_prev = ~first & (prev <= 0).any(axis=1)
+    ldr[first | bad_prev] = 1.0
+    for r in np.flatnonzero(bad_prev):
+        flags[r].append("ldr degenerate: nonpositive previous loss")
+    for r in np.flatnonzero(total[:, 0] <= 0.0):
+        rl[r] = 1.0 / k
+        flags[r].append("rl degenerate: relative_loss: all task losses are zero")
+
+    ilr_std = np.std(ilr, axis=1).tolist() if k >= 2 else [0.0] * b
+    cond = np.where(np.isnan(kappa), 1.0, kappa).tolist()
+    return [MetricRecord(*row) for row in zip(
+        iterations, *pair_means, cond, ilr.tolist(), ilr_std, ldr.tolist(),
+        rl.tolist(), np.std(rl, axis=1).tolist(), weights.tolist(), flags)]
+
+
 def metric_record(grad_snapshot: GradientSnapshot,
                   loss_snapshot: LossSnapshot,
                   weights) -> MetricRecord:
-    """Assemble the full per-iteration metric record.
-
-    Degenerate per-pair values are skipped from the means and the skips are
-    recorded in ``degenerate_flags``; a floored condition number is flagged as
-    well.  ``weights`` is the weight vector in effect at this iteration
-    (a WeightVector, or a plain length-K array for single-task runs).
-    """
+    """:func:`metric_records` of one row; ``weights`` is the WeightVector in
+    effect, or a plain length-K array for single-task runs."""
     if grad_snapshot.iteration != loss_snapshot.iteration:
         raise ValueError(
             f"snapshot iterations differ: gradient {grad_snapshot.iteration} "
@@ -203,52 +261,7 @@ def metric_record(grad_snapshot: GradientSnapshot,
     w = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, float)
     if w.shape != (k,):
         raise ValueError(f"weights must have length {k}")
-
-    flags: list[str] = []
-    if k >= 2:
-        gms_mean, gms_flags = _pairwise_mean_flagged(
-            grad_magnitude_similarity, grad_snapshot, True)
-        gcs_mean, gcs_flags = _pairwise_mean_flagged(
-            grad_cosine_similarity, grad_snapshot, True)
-        flags.extend(gms_flags)
-        flags.extend(gcs_flags)
-    else:
-        gms_mean = gcs_mean = None
-        flags.append("pair metrics skipped: single task")
-
-    try:
-        cond, floored = _condition_number(grad_snapshot)
-        if floored:
-            flags.append("cond_number floored: Gram numerically singular")
-    except DegenerateInputError as exc:
-        cond = 1.0
-        flags.append(f"cond_number degenerate: {exc}")
-
-    ilr = inverse_learning_rate(loss_snapshot)
-    try:
-        ldr = loss_descending_rate(loss_snapshot)
-    except ValueError:
-        ldr = np.ones(k)
-        flags.append("ldr degenerate: nonpositive previous loss")
-    try:
-        rl = relative_loss(loss_snapshot)
-    except DegenerateInputError as exc:
-        rl = np.full(k, 1.0 / k)
-        flags.append(f"rl degenerate: {exc}")
-
-    ilr_std = task_std(ilr) if k >= 2 else 0.0
-    rl_std = task_std(rl) if k >= 2 else 0.0
-
-    return MetricRecord(
-        iteration=grad_snapshot.iteration,
-        gms_mean=gms_mean,
-        gcs_mean=gcs_mean,
-        cond_number=cond,
-        ilr=tuple(float(v) for v in ilr),
-        ilr_std=ilr_std,
-        ldr=tuple(float(v) for v in ldr),
-        rl=tuple(float(v) for v in rl),
-        rl_std=rl_std,
-        weights=tuple(float(v) for v in w),
-        degenerate_flags=tuple(flags),
-    )
+    return metric_records(
+        grad_snapshot.norms[None], grad_snapshot.gram[None],
+        loss_snapshot.losses[None], loss_snapshot.initial_losses,
+        loss_snapshot.prev_losses[None], w[None], [grad_snapshot.iteration])[0]

@@ -1,18 +1,17 @@
-"""Two-phase training driver: explore weights in windows, then lock them in.
+"""Training runs: one descent loop under fixed, scheduled or two-phase weights.
 
-Phase 1 (exploration, the first ``exploration_ratio`` fraction of the
-iteration budget): train with the current weights while buffering gradient and
-loss snapshots; at the end of every ``window_size`` iterations, re-solve for
-the weights that minimize the configured window cost and carry them into the
-next window.  Quadratic costs go through the closed-form QP; the
-condition-number cost goes through simplex search initialized at the previous
-window's weights.
+Every run is fixed-step descent on the weighted total loss.  Each step only
+computes the task losses and gradients, the Gram matrix of the shared slice
+and the update, into preallocated rows; rows are then derived, validated and
+recorded in blocks (one per exploration window, otherwise ``_RECORD_BLOCK``
+rows) by one vectorized pass, :func:`metrics.metric_records`.  A non-finite
+loss or gradient raises :class:`DivergenceError` at its iteration.
 
-Phase 2: fix the aggregated weights (mean of the last ``aggregation_size``
-window solutions, re-projected) and train out the remaining budget.
-
-Every iteration is recorded: metric record plus raw losses, gradient norms
-and the Gram upper triangle, so traces can be reconstructed exactly.
+The two-phase run explores for the first ``exploration_ratio`` of the budget,
+re-solving after every ``window_size`` iterations for the weights minimizing
+the window cost (closed-form QP for quadratic costs, simplex search from the
+previous weights for low-cond), then trains out the budget at the mean of the
+last ``aggregation_size`` window weights, re-projected.
 """
 from __future__ import annotations
 
@@ -24,21 +23,27 @@ import numpy as np
 
 from .core import (
     DEFAULT_WEIGHT_FLOOR,
+    DivergenceError,
     GradientSnapshot,
     LossSnapshot,
     MetricRecord,
     WeightVector,
     WindowBuffer,
-    snapshot_from_gradients,
+    compress_grams,
+    seed_sequence,
     uniform_weights,
 )
 from .costs import CostKind, quadratic_form, window_cost
-from .metrics import metric_record
+from .metrics import metric_record, metric_records
 from .solver import SolverReport, project_feasible, solve_general, solve_quadratic
 
 logger = logging.getLogger(__name__)
 
 _SOLVER_STREAM = 0x50
+
+#: Rows recorded per vectorized pass outside exploration windows.  Keeps the
+#: pass's (B, K, K) temporaries small at large K and long runs.
+_RECORD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -148,66 +153,83 @@ def aggregate_final_weight(window_weights: Sequence[WeightVector],
     return project_feasible(mean, tail[-1].floor)
 
 
-def _upper_triangle(gram: np.ndarray) -> np.ndarray:
-    k = gram.shape[0]
-    return gram[np.triu_indices(k)]
+class _Descent:
+    """The descent loop every run shares, from the problem's initial point.
 
+    Runs drive it window by window or in one call, with the weights
+    ``weight_at(t)`` of their policy (a WeightVector or a length-K array).
+    """
 
-class _RunRecorder:
-    """Accumulates the per-iteration outputs of a training loop."""
-
-    def __init__(self, total_iters: int, k: int) -> None:
+    def __init__(self, problem, total_iters: int) -> None:
+        k = problem.num_tasks
+        self.problem = problem
+        self.theta = np.array(problem.initial_theta(), dtype=float)
+        self.t = 0
         self.records: list[MetricRecord] = []
-        self.per_iter_weights: list[tuple[float, ...]] = []
         self.losses = np.empty((total_iters, k))
+        self.weights = np.empty((total_iters, k))
         self.grad_norms = np.empty((total_iters, k))
         self.gram_upper = np.empty((total_iters, k * (k + 1) // 2))
+        self._raw_grams = np.empty((min(total_iters, _RECORD_BLOCK), k, k))
+        self._upper = (slice(None), *np.triu_indices(k))
 
-    def add(self, t: int, grad_snap: GradientSnapshot, loss_snap: LossSnapshot,
-            weights) -> None:
-        self.records.append(metric_record(grad_snap, loss_snap, weights))
-        w = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, float)
-        self.per_iter_weights.append(tuple(float(v) for v in w))
-        self.losses[t] = loss_snap.losses
-        self.grad_norms[t] = grad_snap.norms
-        self.gram_upper[t] = _upper_triangle(grad_snap.gram)
+    def run(self, weight_at: Callable[[int], WeightVector | np.ndarray], until: int,
+            stride: int = 0) -> list:
+        """Descend up to iteration ``until``; with a ``stride``, return the
+        snapshot pairs of every ``stride``-th iteration from the start."""
+        problem = self.problem
+        h, shared = problem.step_size, problem.shared_slice
+        theta, start, pairs = self.theta, self.t, []
+        for lo in range(start, until, _RECORD_BLOCK):
+            hi = min(lo + _RECORD_BLOCK, until)
+            for t in range(lo, hi):
+                w = weight_at(t)
+                w = w.w if isinstance(w, WeightVector) else np.asarray(w, float)
+                losses = np.asarray(problem.task_losses(theta), dtype=float)
+                grads = np.asarray(problem.task_gradients(theta), dtype=float)
+                g = grads[:, shared]
+                self._raw_grams[t - lo] = g @ g.T
+                self.losses[t] = losses
+                self.weights[t] = w
+                theta = theta - h * (w @ grads)
+            self.theta = theta
+            pairs += self._record(lo, hi, start, stride)
+        self.t = until
+        return pairs
 
+    def _record(self, lo: int, hi: int, start: int, stride: int) -> list:
+        norms, grams = compress_grams(self._raw_grams[:hi - lo])
+        losses = self.losses[lo:hi]
+        # prev_losses: one iteration back, and the losses themselves at t = 0.
+        prev = self.losses[lo - 1:hi - 1] if lo else np.concatenate((losses[:1], losses[:-1]))
+        finite = (np.isfinite(losses).all(axis=1) & np.isfinite(norms).all(axis=1)
+                  & np.isfinite(grams).all(axis=(1, 2)))
+        if not finite.all():
+            t = lo + int(finite.argmin())
+            last = (f"last finite losses {self.losses[t - 1].tolist()} at iteration {t - 1}"
+                    if t else "no finite iteration before it")
+            raise DivergenceError(
+                f"training diverged at iteration {t}: non-finite task losses or "
+                f"gradients; {last}; weights {self.weights[t].tolist()}")
+        initial = self.losses[0]
+        self.records += metric_records(norms, grams, losses, initial, prev,
+                                       self.weights[lo:hi], range(lo, hi))
+        self.grad_norms[lo:hi] = norms
+        self.gram_upper[lo:hi] = grams[self._upper]
+        return [(GradientSnapshot(norms=norms[i], gram=grams[i], iteration=lo + i),
+                 LossSnapshot(losses=losses[i], initial_losses=initial,
+                              prev_losses=prev[i], iteration=lo + i))
+                for i in range(hi - lo) if stride and (lo + i - start) % stride == 0]
 
-def _train(problem, weight_for_iter: Callable[[int], np.ndarray],
-           total_iters: int,
-           on_snapshot: Callable[[int, GradientSnapshot, LossSnapshot], None] | None = None,
-           ) -> tuple[np.ndarray, _RunRecorder]:
-    """Fixed-step descent on the weighted total loss, recording as it goes."""
-    theta = np.array(problem.initial_theta(), dtype=float)
-    k = problem.num_tasks
-    h = problem.step_size
-    shared = problem.shared_slice
-    rec = _RunRecorder(total_iters, k)
-    initial = None
-    prev = None
-    for t in range(total_iters):
-        w = weight_for_iter(t)
-        w_arr = w.w if isinstance(w, WeightVector) else np.asarray(w, float)
-        losses = np.asarray(problem.task_losses(theta), dtype=float)
-        grads = np.asarray(problem.task_gradients(theta), dtype=float)
-        if t == 0:
-            initial = losses.copy()
-            prev = losses.copy()
-        grad_snap = snapshot_from_gradients(grads[:, shared], iteration=t)
-        loss_snap = LossSnapshot(losses=losses, initial_losses=initial,
-                                 prev_losses=prev, iteration=t)
-        rec.add(t, grad_snap, loss_snap, w)
-        if on_snapshot is not None:
-            on_snapshot(t, grad_snap, loss_snap)
-        theta = theta - h * (w_arr @ grads)
-        prev = losses
-    return theta, rec
-
-
-def _child_seed(seed: int, *key: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(seed) & ((1 << 64) - 1),
-                                spawn_key=tuple(key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    def finish(self, window_weights, final_weight, reports=()) -> TrainingRun:
+        final_losses = tuple(float(v) for v in self.problem.task_losses(self.theta))
+        history = WeightHistory(
+            window_weights=tuple(window_weights), final_weight=final_weight,
+            per_iteration_weights=tuple(map(tuple, self.weights.tolist())))
+        return TrainingRun(theta_final=self.theta, final_losses=final_losses,
+                           records=tuple(self.records), weight_history=history,
+                           losses=self.losses, grad_norms=self.grad_norms,
+                           gram_upper=self.gram_upper, solver_reports=tuple(reports))
 
 
 def run_autoscale(problem, config: AutoScaleConfig) -> TrainingRun:
@@ -217,57 +239,31 @@ def run_autoscale(problem, config: AutoScaleConfig) -> TrainingRun:
     current = uniform_weights(k, floor)
     window_weights: list[WeightVector] = []
     reports: list[SolverReport] = []
-    explore = config.exploration_iters
-    tau = config.window_size
-    stride = config.snapshot_stride
+    tau, stride = config.window_size, config.snapshot_stride
     capacity = len(range(0, tau, stride))
+    descent = _Descent(problem, config.total_iters)
 
-    buffer_pairs: list = []
-
-    # Phase 1 runs window by window so each solve can see its buffer; the
-    # recorder spans the whole run for a single contiguous trace.
-    theta = np.array(problem.initial_theta(), dtype=float)
-    rec = _RunRecorder(config.total_iters, k)
-    h = problem.step_size
-    shared = problem.shared_slice
-    initial = None
-    prev = None
-
-    def step(t: int, weights: WeightVector) -> None:
-        nonlocal theta, initial, prev
-        losses = np.asarray(problem.task_losses(theta), dtype=float)
-        grads = np.asarray(problem.task_gradients(theta), dtype=float)
-        if t == 0:
-            initial = losses.copy()
-            prev = losses.copy()
-        grad_snap = snapshot_from_gradients(grads[:, shared], iteration=t)
-        loss_snap = LossSnapshot(losses=losses, initial_losses=initial,
-                                 prev_losses=prev, iteration=t)
-        rec.add(t, grad_snap, loss_snap, weights)
-        if t < explore and (t % tau) % stride == 0:
-            buffer_pairs.append((grad_snap, loss_snap))
-        theta = theta - h * (weights.w @ grads)
-        prev = losses
-
-    t = 0
     for w_index in range(config.num_windows):
-        buffer_pairs.clear()
-        for _ in range(tau):
-            step(t, current)
-            t += 1
-        window = WindowBuffer(pairs=tuple(buffer_pairs), capacity=capacity,
-                              stride=stride)
+        pairs = descent.run(lambda t: current, descent.t + tau, stride)
+        window = WindowBuffer(pairs=tuple(pairs), capacity=capacity, stride=stride)
+        # The window's last pair, recorded on its own, must give the block's
+        # record of that iteration: the solver and the trace read one row.
+        grad, loss = pairs[-1]
+        if metric_record(grad, loss, current) != descent.records[grad.iteration]:
+            logger.warning("window %d: iteration %d records differently alone "
+                           "than in its block", w_index, grad.iteration)
         if config.cost_kind.is_quadratic:
             report = solve_quadratic(quadratic_form(config.cost_kind, window),
                                      floor=floor)
         else:
+            child = seed_sequence(config.seed, _SOLVER_STREAM, w_index)
             report = solve_general(
                 lambda wv: window_cost(config.cost_kind, wv, window),
                 w_init=current,
                 floor=floor,
                 budget=config.solver_budget,
                 restarts=config.solver_restarts,
-                seed=_child_seed(config.seed, _SOLVER_STREAM, w_index),
+                seed=int(child.generate_state(1, dtype=np.uint64)[0]),
             )
         reports.append(report)
         # The solve may never regress the window cost; on a (float-level)
@@ -286,20 +282,8 @@ def run_autoscale(problem, config: AutoScaleConfig) -> TrainingRun:
                                               config.aggregation_size)
     else:
         final_weight = uniform_weights(k, floor)
-
-    while t < config.total_iters:
-        step(t, final_weight)
-        t += 1
-
-    final_losses = tuple(float(v) for v in problem.task_losses(theta))
-    history = WeightHistory(window_weights=tuple(window_weights),
-                            final_weight=final_weight,
-                            per_iteration_weights=tuple(rec.per_iter_weights))
-    return TrainingRun(theta_final=theta, final_losses=final_losses,
-                       records=tuple(rec.records), weight_history=history,
-                       losses=rec.losses, grad_norms=rec.grad_norms,
-                       gram_upper=rec.gram_upper,
-                       solver_reports=tuple(reports))
+    descent.run(lambda t: final_weight, config.total_iters)
+    return descent.finish(window_weights, final_weight, reports)
 
 
 def run_fixed_scalarization(problem, weights, total_iters: int) -> TrainingRun:
@@ -314,20 +298,15 @@ def run_fixed_scalarization(problem, weights, total_iters: int) -> TrainingRun:
     w_arr = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, float)
     if w_arr.shape != (k,):
         raise ValueError(f"weights must have length {k}, got shape {w_arr.shape}")
-    theta, rec = _train(problem, lambda t: weights, total_iters)
-    final_losses = tuple(float(v) for v in problem.task_losses(theta))
+    descent = _Descent(problem, total_iters)
+    descent.run(lambda t: w_arr, total_iters)
     if isinstance(weights, WeightVector):
         final_wv = weights
     elif k >= 2:
         final_wv = WeightVector(w_arr)
     else:
         final_wv = None
-    history = WeightHistory(window_weights=(), final_weight=final_wv,
-                            per_iteration_weights=tuple(rec.per_iter_weights))
-    return TrainingRun(theta_final=theta, final_losses=final_losses,
-                       records=tuple(rec.records), weight_history=history,
-                       losses=rec.losses, grad_norms=rec.grad_norms,
-                       gram_upper=rec.gram_upper)
+    return descent.finish((), final_wv)
 
 
 def run_weight_schedule(problem, weight_for_iter: Callable[[int], WeightVector],
@@ -336,13 +315,8 @@ def run_weight_schedule(problem, weight_for_iter: Callable[[int], WeightVector],
     loss weighting)."""
     if total_iters < 1:
         raise ValueError("total_iters must be >= 1")
-    theta, rec = _train(problem, weight_for_iter, total_iters)
-    final_losses = tuple(float(v) for v in problem.task_losses(theta))
+    descent = _Descent(problem, total_iters)
+    descent.run(weight_for_iter, total_iters)
     last = weight_for_iter(total_iters - 1)
     final_wv = last if isinstance(last, WeightVector) else WeightVector(np.asarray(last, float))
-    history = WeightHistory(window_weights=(), final_weight=final_wv,
-                            per_iteration_weights=tuple(rec.per_iter_weights))
-    return TrainingRun(theta_final=theta, final_losses=final_losses,
-                       records=tuple(rec.records), weight_history=history,
-                       losses=rec.losses, grad_norms=rec.grad_norms,
-                       gram_upper=rec.gram_upper)
+    return descent.finish((), final_wv)

@@ -1,4 +1,9 @@
-"""Small builders shared by the test modules, and the per-iteration cost oracle."""
+"""Small builders shared by the test modules, and the per-row oracles.
+
+The oracles compute slowly and literally what the library computes in
+stacked form: window costs one iteration at a time, metric records one task
+pair at a time, gradients by central differences.
+"""
 import math
 from dataclasses import dataclass
 
@@ -9,10 +14,19 @@ from autoscale import (
     CostKind,
     DegenerateInputError,
     LossSnapshot,
+    MetricRecord,
     TraceLine,
+    WeightVector,
     WindowBuffer,
+    condition_number,
+    grad_cosine_similarity,
+    grad_magnitude_similarity,
+    inverse_learning_rate,
     kappa_from_grams,
+    loss_descending_rate,
+    relative_loss,
     snapshot_from_gradients,
+    task_std,
 )
 
 
@@ -226,3 +240,75 @@ def oracle_quadratic_form(kind, win):
         a = build_pair_matrix(mags).matrix
         m += a.T @ a
     return m / len(win)
+
+
+# ---------------------------------------------------------------------------
+# per-pair metric-record oracle and finite-difference gradients
+# ---------------------------------------------------------------------------
+
+def pairwise_mean_flagged(per_pair_metric, snapshot):
+    """Mean of a pair metric over the valid task pairs, and a flag per skip."""
+    name = per_pair_metric.__name__
+    values, flags = [], []
+    for i in range(snapshot.k):
+        for j in range(i + 1, snapshot.k):
+            try:
+                values.append(float(per_pair_metric(snapshot, i, j)))
+            except DegenerateInputError as exc:
+                flags.append(f"{name}({i},{j}) skipped: {exc}")
+    return (float(np.mean(values)) if values else None), tuple(flags)
+
+
+def oracle_metric_record(grad, loss, weights):
+    """The metric record of one snapshot pair, one task pair at a time."""
+    k = grad.k
+    flags = []
+    if k >= 2:
+        gms_mean, gms_flags = pairwise_mean_flagged(grad_magnitude_similarity, grad)
+        gcs_mean, gcs_flags = pairwise_mean_flagged(grad_cosine_similarity, grad)
+        flags += gms_flags + gcs_flags
+    else:
+        gms_mean = gcs_mean = None
+        flags.append("pair metrics skipped: single task")
+    try:
+        cond = condition_number(grad)
+        if kappa_from_grams(grad.gram)[1]:
+            flags.append("cond_number floored: Gram numerically singular")
+    except DegenerateInputError as exc:
+        cond = 1.0
+        flags.append(f"cond_number degenerate: {exc}")
+    ilr = inverse_learning_rate(loss)
+    try:
+        ldr = loss_descending_rate(loss)
+    except ValueError:
+        ldr = np.ones(k)
+        flags.append("ldr degenerate: nonpositive previous loss")
+    try:
+        rl = relative_loss(loss)
+    except DegenerateInputError as exc:
+        rl = np.full(k, 1.0 / k)
+        flags.append(f"rl degenerate: {exc}")
+    w = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, float)
+    return MetricRecord(
+        iteration=grad.iteration, gms_mean=gms_mean, gcs_mean=gcs_mean,
+        cond_number=cond, ilr=tuple(float(v) for v in ilr),
+        ilr_std=task_std(ilr) if k >= 2 else 0.0,
+        ldr=tuple(float(v) for v in ldr), rl=tuple(float(v) for v in rl),
+        rl_std=task_std(rl) if k >= 2 else 0.0,
+        weights=tuple(float(v) for v in w), degenerate_flags=tuple(flags))
+
+
+def finite_difference_gradients(problem, theta: np.ndarray) -> np.ndarray:
+    """Central-difference task gradients; the ground truth for gradient tests."""
+    theta = np.asarray(theta, dtype=float)
+    k = problem.num_tasks
+    grads = np.zeros((k, theta.size))
+    for i in range(theta.size):
+        step = 1e-6 * (1.0 + abs(float(theta[i])))
+        plus = theta.copy()
+        plus[i] += step
+        minus = theta.copy()
+        minus[i] -= step
+        grads[:, i] = (np.asarray(problem.task_losses(plus)) -
+                       np.asarray(problem.task_losses(minus))) / (2.0 * step)
+    return grads

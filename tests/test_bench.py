@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from autoscale import (
-    finite_difference_gradients,
     imbalanced_reference_problem,
     make_mlp_problem,
     make_quadratic_problem,
@@ -19,6 +18,8 @@ from autoscale import (
     grad_magnitude_similarity,
     pairwise_mean,
 )
+
+from helpers import finite_difference_gradients
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,13 @@ def test_quadratic_geometry_validation():
     with pytest.raises(ValueError):
         make_quadratic_problem(k=2, d=3, scales=np.ones(3),
                                conflict_angle=math.pi / 2.0)        # wrong scales
+
+
+def test_single_task_quadratic_builds():
+    problem = make_quadratic_problem(k=1, d=3, scales=[2.0],
+                                     conflict_angle=math.pi / 2.0)
+    snap = snapshot_from_gradients(problem.task_gradients(problem.initial_theta()))
+    assert snap.norms[0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_weighted_optimum_is_the_training_limit():

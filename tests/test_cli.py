@@ -168,6 +168,21 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_single_task_quadratic_exits_2(capsys):
+    assert main(["run", "--problem", "quadratic", "--k", "1", "--scales", "1"]) == 2
+    assert "error: weight vector needs at least 2 tasks" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_run_names_the_iteration(capsys):
+    rc = main(["run", "--method", "fixed", "--problem", "quadratic", "--k", "3",
+               "--weights", "1,1,1", "--step-size", "50"])
+    assert rc == 2
+    assert re.search(r"error: training diverged at iteration (\d+): non-finite task "
+                     r"losses or gradients; last finite losses \[[^]]+\] at iteration "
+                     r"\d+; weights \[1\.0, 1\.0, 1\.0\]", capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------------------
 # sweep subcommand
 # ---------------------------------------------------------------------------

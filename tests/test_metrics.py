@@ -14,13 +14,14 @@ from autoscale import (
     loss_descending_rate,
     make_weight_vector,
     metric_record,
+    metric_records,
     pairwise_mean,
     relative_loss,
     snapshot_from_gradients,
     task_std,
 )
 
-from helpers import grad_snap, loss_snap
+from helpers import grad_snap, loss_snap, oracle_metric_record
 
 
 # ---------------------------------------------------------------------------
@@ -309,3 +310,86 @@ def test_metric_record_flags_skipped_pairs_and_rl():
     # all-zero losses: relative loss falls back to uniform and is flagged
     assert r.rl == (pytest.approx(1 / 3), pytest.approx(1 / 3), pytest.approx(1 / 3))
     assert any(f.startswith("rl degenerate") for f in r.degenerate_flags)
+
+
+# ---------------------------------------------------------------------------
+# stacked records against the per-pair oracle
+# ---------------------------------------------------------------------------
+
+def _degenerate_block(k, rng, d=9):
+    """Snapshot pairs at iterations 0..n-1 with every degenerate row kind.
+
+    Rows: random; one zero-norm gradient; two zero-norm gradients; an all-zero
+    Gram; two parallel gradients (singular Gram, floored); all-zero losses
+    (rl degenerate); a zero previous loss (ldr degenerate); random.
+    """
+    grads = [rng.standard_normal((k, d)) * np.exp(rng.uniform(-3, 3, (k, 1)))
+             for _ in range(8)]
+    grads[1][0] = 0.0
+    grads[2][: min(2, k)] = 0.0
+    grads[3][:] = 0.0
+    if k >= 2:
+        grads[4][1] = 3.0 * grads[4][0]
+    losses = rng.uniform(0.1, 3.0, (8, k))
+    losses[5] = 0.0
+    losses[6, -1] = 0.0
+    initial = losses[0]
+    pairs = []
+    for t, (g, l) in enumerate(zip(grads, losses)):
+        prev = losses[t - 1] if t else l
+        pairs.append((grad_snap(g, iteration=t),
+                      loss_snap(l, initial=initial, prev=prev, iteration=t)))
+    return pairs
+
+
+def _stack(pairs, weights):
+    return (np.array([g.norms for g, _ in pairs]), np.array([g.gram for g, _ in pairs]),
+            np.array([l.losses for _, l in pairs]), pairs[0][1].initial_losses,
+            np.array([l.prev_losses for _, l in pairs]),
+            np.tile(weights, (len(pairs), 1)), [g.iteration for g, _ in pairs])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 8])
+def test_metric_records_equal_the_per_pair_oracle(k):
+    rng = np.random.default_rng(100 + k)
+    pairs = _degenerate_block(k, rng)
+    weights = np.ones(k) if k == 1 else make_weight_vector(rng.uniform(0.2, 2.0, k)).w
+    expected = [oracle_metric_record(g, l, weights) for g, l in pairs]
+    assert metric_records(*_stack(pairs, weights)) == expected
+    assert [metric_record(g, l, weights) for g, l in pairs] == expected
+    flags = " ".join(f for r in expected for f in r.degenerate_flags)
+    assert "cond_number degenerate" in flags and "rl degenerate" in flags
+    if k >= 2:
+        for kind in ("gms", "gcs", "cond_number floored", "ldr degenerate"):
+            assert kind in flags
+
+
+def test_metric_records_of_random_blocks_equal_the_oracle():
+    rng = np.random.default_rng(7)
+    for k in (2, 3, 5, 8, 11):
+        pairs = []
+        for t in range(40):
+            g = rng.standard_normal((k, 4)) * np.exp(rng.uniform(-5, 5, (k, 1)))
+            pairs.append((grad_snap(g, iteration=t + 1),
+                          loss_snap(rng.uniform(0.01, 5.0, k), initial=np.ones(k),
+                                    prev=rng.uniform(0.01, 5.0, k), iteration=t + 1)))
+        weights = make_weight_vector(rng.uniform(0.2, 2.0, k)).w
+        assert metric_records(*_stack(pairs, weights)) == [
+            oracle_metric_record(g, l, weights) for g, l in pairs]
+
+
+@pytest.mark.parametrize("bad_gram, bad_norms", [
+    ([[1.0, np.nan], [np.nan, 1.0]], [1.0, 1.0]),      # non-finite entries
+    ([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0]),            # Cauchy-Schwarz violated
+])
+def test_metric_records_reject_a_row_like_its_snapshot(bad_gram, bad_norms):
+    with pytest.raises(ValueError) as snapshot_error:
+        GradientSnapshot(norms=np.array(bad_norms), gram=np.array(bad_gram))
+    rng = np.random.default_rng(3)
+    pairs = _degenerate_block(2, rng)
+    norms, grams, losses, initial, prev, weights, iters = _stack(pairs, np.ones(2))
+    norms[4], grams[4] = bad_norms, bad_gram
+    grams[6, 0, 0] = -1.0              # a later row failing another check
+    with pytest.raises(ValueError) as block_error:
+        metric_records(norms, grams, losses, initial, prev, weights, iters)
+    assert str(block_error.value) == str(snapshot_error.value)

@@ -6,6 +6,7 @@ import pytest
 
 from autoscale import (
     AutoScaleConfig,
+    DivergenceError,
     GradientSnapshot,
     LossSnapshot,
     QuadraticFamily,
@@ -18,9 +19,11 @@ from autoscale import (
     run_autoscale,
     run_fixed_scalarization,
     run_weight_schedule,
+    snapshot_from_gradients,
     uniform_weights,
     window_cost,
 )
+from autoscale import scheduler
 
 
 def _small_problem(k=2):
@@ -227,6 +230,45 @@ def test_runs_are_deterministic():
     assert np.array_equal(a.theta_final, b.theta_final)
     assert a.final_losses == b.final_losses
     assert a.weight_history.per_iteration_weights == b.weight_history.per_iteration_weights
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_recording_block_size_leaves_runs_unchanged(monkeypatch, block):
+    # 20-iteration windows at stride 3: blocks of 7 split each window in three
+    problem = _small_problem(3)
+    cfg = _phase_config(cost_kind="low-cond", snapshot_stride=3, solver_budget=300)
+    want = run_autoscale(problem, cfg)
+    monkeypatch.setattr(scheduler, "_RECORD_BLOCK", block)
+    got = run_autoscale(problem, cfg)
+    assert got.records == want.records
+    assert np.array_equal(got.theta_final, want.theta_final)
+    assert got.weight_history.per_iteration_weights == want.weight_history.per_iteration_weights
+    for name in ("losses", "grad_norms", "gram_upper"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_divergence_names_the_first_non_finite_iteration():
+    problem = make_quadratic_problem(k=3, d=4, scales=[1.0, 2.0, 3.0],
+                                     conflict_angle=math.pi / 2.0, step_size=5.0)
+    w = np.array([0.5, 1.0, 1.5])
+    theta, losses = problem.initial_theta(), []
+    with np.errstate(all="ignore"):
+        while True:            # step alone until a snapshot cannot be taken
+            losses.append(problem.task_losses(theta))
+            grads = problem.task_gradients(theta)
+            try:
+                assert np.all(np.isfinite(losses[-1]))
+                snapshot_from_gradients(grads)
+            except (AssertionError, ValueError):
+                break
+            theta = theta - problem.step_size * (w @ grads)
+    t = len(losses) - 1
+    with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError) as exc:
+        run_fixed_scalarization(problem, make_weight_vector(w), 1000)
+    assert str(exc.value) == (
+        f"training diverged at iteration {t}: non-finite task losses or gradients; "
+        f"last finite losses {losses[t - 1].tolist()} at iteration {t - 1}; "
+        f"weights {[0.5, 1.0, 1.5]}")
 
 
 # ---------------------------------------------------------------------------
