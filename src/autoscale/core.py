@@ -252,9 +252,9 @@ def loss_faults(losses: np.ndarray, initial: np.ndarray, prev: np.ndarray) -> li
 def raise_first_fault(faults) -> None:
     """Raise the first failed check of the first failing row, as building the
     rows' snapshots one at a time would."""
-    bad = np.array([rows for rows, _ in faults])
-    if bad.any():
-        raise ValueError(faults[int(bad[:, int(bad.any(axis=0).argmax())].argmax())][1])
+    failing = [(int(rows.argmax()), n) for n, (rows, _) in enumerate(faults) if rows.any()]
+    if failing:
+        raise ValueError(faults[min(failing)[1]][1])
 
 
 @dataclass(frozen=True, eq=False)

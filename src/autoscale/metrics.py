@@ -195,7 +195,7 @@ def metric_records(norms, grams, losses, initial_losses, prev_losses, weights,
     b, k = norms.shape
     initial = np.broadcast_to(np.asarray(initial_losses, dtype=float), (b, k))
     iterations = [int(t) for t in iterations]
-    first = np.array(iterations) == 0
+    first = np.array([t == 0 for t in iterations])
     iu, ju = np.triu_indices(k, 1)
     n_i, n_j = norms[:, iu], norms[:, ju]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -209,7 +209,7 @@ def metric_records(norms, grams, losses, initial_losses, prev_losses, weights,
         faults.append((~np.isfinite(ilr).all(axis=1), "task_std input must be finite"))
     raise_first_fault(faults)
 
-    flags = [[] if k >= 2 else ["pair metrics skipped: single task"] for _ in range(b)]
+    flags = [() if k >= 2 else ("pair metrics skipped: single task",)] * b
     pair_means = [[None] * b] * 2
     # Python's max(-1, x) and min(1, x), NaN handling included.
     cos = np.where(cos > -1.0, cos, -1.0)
@@ -225,19 +225,19 @@ def metric_records(norms, grams, losses, initial_losses, prev_losses, weights,
         for r in np.flatnonzero(~valid.all(axis=1)):
             kept = values[r][valid[r]]
             means[r] = float(kept.mean()) if kept.size else None
-            flags[r] += [flag.format(f"{i},{j}") for i, j in zip(iu[~valid[r]], ju[~valid[r]])]
+            flags[r] += tuple(flag.format(f"{i},{j}") for i, j in zip(iu[~valid[r]], ju[~valid[r]]))
 
     kappa, floored = kappa_from_grams(grams)
     for r in np.flatnonzero(floored | np.isnan(kappa)):
-        flags[r].append("cond_number floored: Gram numerically singular" if floored[r]
-                        else f"cond_number degenerate: {_NO_POSITIVE_EIGENVALUE}")
+        flags[r] += ("cond_number floored: Gram numerically singular" if floored[r]
+                     else f"cond_number degenerate: {_NO_POSITIVE_EIGENVALUE}",)
     bad_prev = ~first & (prev <= 0).any(axis=1)
     ldr[first | bad_prev] = 1.0
     for r in np.flatnonzero(bad_prev):
-        flags[r].append("ldr degenerate: nonpositive previous loss")
+        flags[r] += ("ldr degenerate: nonpositive previous loss",)
     for r in np.flatnonzero(total[:, 0] <= 0.0):
         rl[r] = 1.0 / k
-        flags[r].append("rl degenerate: relative_loss: all task losses are zero")
+        flags[r] += ("rl degenerate: relative_loss: all task losses are zero",)
 
     ilr_std = np.std(ilr, axis=1).tolist() if k >= 2 else [0.0] * b
     cond = np.where(np.isnan(kappa), 1.0, kappa).tolist()

@@ -3,9 +3,9 @@
 Every run is fixed-step descent on the weighted total loss.  Each step only
 computes the task losses and gradients, the Gram matrix of the shared slice
 and the update, into preallocated rows; rows are then derived, validated and
-recorded in blocks (one per exploration window, otherwise ``_RECORD_BLOCK``
-rows) by one vectorized pass, :func:`metrics.metric_records`.  A non-finite
-loss or gradient raises :class:`DivergenceError` at its iteration.
+recorded in blocks of at most ``_RECORD_BLOCK`` rows, ending at each window
+boundary, by one vectorized pass, :func:`metrics.metric_records`.  A
+non-finite loss or gradient raises :class:`DivergenceError` at its iteration.
 
 The two-phase run explores for the first ``exploration_ratio`` of the budget,
 re-solving after every ``window_size`` iterations for the weights minimizing
@@ -41,8 +41,8 @@ logger = logging.getLogger(__name__)
 
 _SOLVER_STREAM = 0x50
 
-#: Rows recorded per vectorized pass outside exploration windows.  Keeps the
-#: pass's (B, K, K) temporaries small at large K and long runs.
+#: Most rows recorded per vectorized pass.  Bounds the pass's (B, K, K)
+#: temporaries, which at K=8 would otherwise grow with the run length.
 _RECORD_BLOCK = 64
 
 
