@@ -4,7 +4,8 @@ Each case runs one ``autoscale run`` command in-process and compares the
 SHA-256 of the trace (JSONL) and of the summary (JSON) it writes against a
 digest recorded before any change to the numerical path.  The matrix covers
 every window-cost kind on the reference problem, stride > 1, fixed and
-random-loss weighting, the MLP family at K=3 and K=8, and a K=6 quadratic
+random-loss weighting, the MLP family at K=3 and K=8, single-task baselines
+(``stl``, which writes a summary and no trace), and a K=6 quadratic
 problem (from K=4 on, the order of the floating-point sums that build the
 quadratic form shows in the last bits of the chosen weights; the 28 task
 pairs of K=8 take numpy's pairwise summation path in the pair means).  A refactor
@@ -53,6 +54,9 @@ CASES = {
         "--exploration-ratio", "0.5", "--window-size", "50",
         "--aggregation-size", "2", "--baseline-iters", "20",
         "--step-size", "0.05", "--seed", "11"),
+    "mlp-k3-stl": (
+        "--method", "stl", "--problem", "mlp", "--k", "3", "--total-iters", "50",
+        "--seed", "12"),
     "quadratic-k6": (
         "--method", "autoscale", "--problem", "quadratic", "--k", "6",
         "--scales", "1,2.5,4,0.5,3,1.7", "--conflict-angle", "70",
@@ -61,7 +65,7 @@ CASES = {
         "--aggregation-size", "3", "--seed", "10"),
 }
 
-#: case -> (trace sha256, summary sha256)
+#: case -> (trace sha256, summary sha256); None where the run writes no trace
 DIGESTS = {
     "mlp-k3": (
         "4f1eaea64ff68cc470aedff3012ffb219c6052be9f2ff81fbccde7f175499564",
@@ -69,6 +73,9 @@ DIGESTS = {
     "mlp-k8": (
         "f865bd216c8d09d7494b80e375032bbd0d0a7eea7af4a43313a71b6155bf63de",
         "3cdf04ded43bbc04bf8f4a57d605beea9d12f3c5a77e16db06361f0d04f460b4"),
+    "mlp-k3-stl": (
+        None,
+        "5c198ab554e451887652b055f28bb6a8a40da5c6792278027381ab3523e2b0fb"),
     "quadratic-k6": (
         "c9312a37a01b1f1e1fd672e24fcf8409b94e1e5878955ef401bff67f0117bc4f",
         "b89b4afa6d790d7c34e662286bb6a02bb7251dede7abc76ae979f333011ab1a7"),
@@ -94,13 +101,14 @@ DIGESTS = {
 
 
 def run_case(name, out_dir):
-    """Run one case into ``out_dir``; returns (trace digest, summary digest)."""
+    """Run one case into ``out_dir``; returns (trace digest, summary digest),
+    with None for a trace the run did not write."""
     trace = out_dir / f"{name}.jsonl"
     summary = out_dir / f"{name}.json"
     argv = ["run", *CASES[name], "--run-id", name,
             "--trace", str(trace), "--summary", str(summary)]
     assert cli.main(argv) == 0
-    return tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+    return tuple(hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
                  for path in (trace, summary))
 
 
