@@ -49,7 +49,6 @@ from .solver import (
 from .scheduler import (
     AutoScaleConfig,
     TrainingRun,
-    WeightHistory,
     aggregate_final_weight,
     run_autoscale,
     run_fixed_scalarization,
@@ -120,7 +119,6 @@ __all__ = [
     "solve_quadratic",
     "AutoScaleConfig",
     "TrainingRun",
-    "WeightHistory",
     "aggregate_final_weight",
     "run_autoscale",
     "run_fixed_scalarization",

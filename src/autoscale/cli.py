@@ -155,8 +155,11 @@ def compute_baselines(problem, cfg: RunConfig) -> tuple[np.ndarray, str]:
     otherwise empirical single-task training."""
     if problem.reference_optima is not None:
         return np.asarray(problem.reference_optima, dtype=float), "exact"
-    iters = cfg.baseline_iters if cfg.baseline_iters is not None else cfg.total_iters
-    return run_stl_baselines(problem, iters), "stl"
+    return run_stl_baselines(problem, _baseline_iters(cfg)), "stl"
+
+
+def _baseline_iters(cfg: RunConfig) -> int:
+    return cfg.baseline_iters if cfg.baseline_iters is not None else cfg.total_iters
 
 
 def _run_mean_metrics(rows) -> dict:
@@ -198,10 +201,6 @@ def execute_run(cfg: RunConfig) -> dict:
         run = run_weight_schedule(
             problem, lambda t: random_loss_weighting_step(k, cfg.seed, t),
             cfg.total_iters)
-    elif cfg.method == "stl":
-        run = None
-    else:  # pragma: no cover
-        raise ValueError(f"unknown method {cfg.method!r}")
 
     baselines, baseline_mode = compute_baselines(problem, cfg)
     summary: dict = {
@@ -214,27 +213,22 @@ def execute_run(cfg: RunConfig) -> dict:
         "baseline_mode": baseline_mode,
     }
 
-    if cfg.method == "stl":
-        stl_scores = run_stl_baselines(
-            problem,
-            cfg.baseline_iters if cfg.baseline_iters is not None else cfg.total_iters)
-        summary["final_losses"] = [float(v) for v in stl_scores]
-        summary["delta_m"] = delta_m(
-            [TaskScore(float(v), float(b)) for v, b in zip(stl_scores, baselines)])
-        summary["delta_m_deg"] = delta_m_deg(
-            [TaskScore(float(v), float(b)) for v, b in zip(stl_scores, baselines)])
-        summary["final_weights"] = None
-        summary["_run"] = None
-        return summary
-
+    if run is None:
+        # Single-task training: when it already gave the baselines, reuse them.
+        final_losses = (baselines if baseline_mode == "stl"
+                        else run_stl_baselines(problem, _baseline_iters(cfg)))
+        final_weight = None
+    else:
+        final_losses, final_weight = run.final_losses, run.final_weight
     scores = [TaskScore(value=float(v), baseline=float(b))
-              for v, b in zip(run.final_losses, baselines)]
-    summary["final_losses"] = [float(v) for v in run.final_losses]
+              for v, b in zip(final_losses, baselines)]
+    summary["final_losses"] = [float(v) for v in final_losses]
     summary["delta_m"] = delta_m(scores)
     summary["delta_m_deg"] = delta_m_deg(scores)
-    fw = run.weight_history.final_weight
-    summary["final_weights"] = None if fw is None else [float(v) for v in fw.w]
-    summary.update(_run_mean_metrics(run.records))
+    summary["final_weights"] = (None if final_weight is None
+                                else [float(v) for v in final_weight.w])
+    if run is not None:
+        summary.update(_run_mean_metrics(run.records))
     summary["_run"] = run
     return summary
 

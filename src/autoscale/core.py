@@ -2,18 +2,17 @@
 
 Everything downstream (metrics, costs, solvers, the scheduler) speaks in terms
 of the types defined here: feasible weight vectors, per-iteration gradient and
-loss snapshots, bounded windows of snapshots, and per-iteration metric records.
-Gradients are never stored whole; a snapshot keeps only per-task norms and the
-K x K Gram matrix, which is sufficient for every metric and cost in the
-package.
+loss snapshots, windows of the same values as (T, K) and (T, K, K) columns,
+and per-iteration metric records.  Gradients are never stored whole; a
+snapshot or window row keeps only per-task norms and the K x K Gram matrix,
+which is sufficient for every metric and cost in the package.
 
 All types are immutable after construction and validate their invariants
 eagerly, so a constructed value is always safe to share across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -296,64 +295,38 @@ class LossSnapshot:
 
 @dataclass(frozen=True, eq=False)
 class WindowBuffer:
-    """A completed observation window: aligned snapshot pairs, oldest first.
+    """A completed observation window as read-only columns, oldest row first:
+    gradient ``norms`` (T, K), Gram matrices ``grams`` (T, K, K) and task
+    ``losses`` (T, K), which is what the window costs read.
 
-    Iterations advance by exactly ``stride`` (contiguous when stride is 1) and
-    the buffer never holds more than ``capacity`` pairs.  The validated pairs
-    are also stacked once into read-only columns, which is what the window
-    costs read: ``norms`` (T, K), ``grams`` (T, K, K) and ``losses`` (T, K).
-    An empty window has zero-size columns.
+    Every row passes the value checks of the snapshot types, and the first
+    failing row raises their message.  An empty window has zero-size columns.
     """
 
-    pairs: tuple
-    capacity: int
-    stride: int = 1
-    norms: np.ndarray = field(init=False, repr=False)
-    grams: np.ndarray = field(init=False, repr=False)
-    losses: np.ndarray = field(init=False, repr=False)
+    norms: np.ndarray
+    grams: np.ndarray
+    losses: np.ndarray
 
     def __post_init__(self) -> None:
-        pairs = tuple(self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        if self.capacity < 1:
-            raise ValueError("window capacity must be >= 1")
-        if self.stride < 1:
-            raise ValueError("snapshot stride must be >= 1")
-        if len(pairs) > self.capacity:
+        for name in ("norms", "grams", "losses"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+        norms, grams, losses = self.norms, self.grams, self.losses
+        shape = norms.shape
+        if norms.ndim != 2 or grams.shape != (*shape, shape[-1]) or losses.shape != shape:
             raise ValueError(
-                f"window holds {len(pairs)} snapshots, capacity is {self.capacity}")
-        prev_iter = None
-        for grad, loss in pairs:
-            if not isinstance(grad, GradientSnapshot) or not isinstance(loss, LossSnapshot):
-                raise TypeError("window pairs must be (GradientSnapshot, LossSnapshot)")
-            if grad.iteration != loss.iteration:
-                raise ValueError(
-                    f"misaligned pair: gradient iter {grad.iteration} vs "
-                    f"loss iter {loss.iteration}")
-            if prev_iter is not None and grad.iteration != prev_iter + self.stride:
-                raise ValueError(
-                    f"window iterations must advance by {self.stride}: "
-                    f"{prev_iter} -> {grad.iteration}")
-            prev_iter = grad.iteration
-        if len({snap.k for pair in pairs for snap in pair}) > 1:
-            raise ValueError("window snapshots must all have the same K")
-        t, k = len(pairs), pairs[0][0].k if pairs else 0
-        object.__setattr__(self, "norms", _frozen_array(
-            [g.norms for g, _ in pairs]).reshape(t, k))
-        object.__setattr__(self, "grams", _frozen_array(
-            [g.gram for g, _ in pairs]).reshape(t, k, k))
-        object.__setattr__(self, "losses", _frozen_array(
-            [l.losses for _, l in pairs]).reshape(t, k))
+                "window columns must be norms (T, K), grams (T, K, K) and losses "
+                f"(T, K), got {norms.shape}, {grams.shape} and {losses.shape}")
+        if norms.size:
+            raise_first_fault(gradient_faults(norms, grams) + [
+                (~np.isfinite(losses).all(axis=1), "losses must be finite"),
+                ((losses < 0).any(axis=1), "losses must be nonnegative")])
 
     @property
     def k(self) -> int:
         return self.norms.shape[1]
 
     def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.pairs)
+        return self.norms.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ computes the task losses and gradients, the Gram matrix of the shared slice
 and the update, into preallocated rows; rows are then derived, validated and
 recorded in blocks of at most ``_RECORD_BLOCK`` rows, ending at each window
 boundary, by one vectorized pass, :func:`metrics.metric_records`.  A
-non-finite loss or gradient raises :class:`DivergenceError` at its iteration.
+non-finite loss or gradient ends its block and raises :class:`DivergenceError`.
+The recorded columns are the run's result; a window is a strided slice of them.
 
 The two-phase run explores for the first ``exploration_ratio`` of the budget,
 re-solving after every ``window_size`` iterations for the weights minimizing
@@ -16,13 +17,13 @@ last ``aggregation_size`` window weights, re-projected.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
-    DEFAULT_WEIGHT_FLOOR,
     DivergenceError,
     GradientSnapshot,
     LossSnapshot,
@@ -63,9 +64,7 @@ class AutoScaleConfig:
     cost_kind: CostKind = CostKind.EQUAL_GRAD_NORM
     seed: int = 0
     snapshot_stride: int = 1
-    weight_floor: float = DEFAULT_WEIGHT_FLOOR
     solver_budget: int = 4000
-    solver_restarts: int = 4
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cost_kind", CostKind.parse(self.cost_kind))
@@ -110,29 +109,20 @@ class AutoScaleConfig:
 
 
 @dataclass(frozen=True)
-class WeightHistory:
-    """Weights produced by a run: per window, aggregated, and per iteration.
+class TrainingRun:
+    """Everything a completed training run exposes.
 
+    ``window_weights`` holds one solved weight per exploration window, and
     ``final_weight`` is None only for single-task runs, where the feasible
     weight-vector type (K >= 2) does not apply.
     """
 
-    window_weights: tuple[WeightVector, ...]
-    final_weight: WeightVector | None
-    per_iteration_weights: tuple[tuple[float, ...], ...]
-
-    def weight_at(self, iteration: int) -> tuple[float, ...]:
-        return self.per_iteration_weights[iteration]
-
-
-@dataclass(frozen=True)
-class TrainingRun:
-    """Everything a completed training run exposes."""
-
     theta_final: np.ndarray
     final_losses: tuple[float, ...]
     records: tuple[MetricRecord, ...]
-    weight_history: WeightHistory
+    window_weights: tuple[WeightVector, ...]
+    final_weight: WeightVector | None
+    weights: np.ndarray      # (T, K)
     losses: np.ndarray       # (T, K)
     grad_norms: np.ndarray   # (T, K)
     gram_upper: np.ndarray   # (T, K*(K+1)/2)
@@ -173,14 +163,12 @@ class _Descent:
         self._raw_grams = np.empty((min(total_iters, _RECORD_BLOCK), k, k))
         self._upper = (slice(None), *np.triu_indices(k))
 
-    def run(self, weight_at: Callable[[int], WeightVector | np.ndarray], until: int,
-            stride: int = 0) -> list:
-        """Descend up to iteration ``until``; with a ``stride``, return the
-        snapshot pairs of every ``stride``-th iteration from the start."""
+    def run(self, weight_at: Callable[[int], WeightVector | np.ndarray], until: int) -> None:
+        """Descend up to iteration ``until``."""
         problem = self.problem
         h, shared = problem.step_size, problem.shared_slice
-        theta, start, pairs = self.theta, self.t, []
-        for lo in range(start, until, _RECORD_BLOCK):
+        theta, lo = self.theta, self.t
+        while lo < until:
             hi = min(lo + _RECORD_BLOCK, until)
             for t in range(lo, hi):
                 w = weight_at(t)
@@ -188,16 +176,20 @@ class _Descent:
                 losses = np.asarray(problem.task_losses(theta), dtype=float)
                 grads = np.asarray(problem.task_gradients(theta), dtype=float)
                 g = grads[:, shared]
-                self._raw_grams[t - lo] = g @ g.T
+                raw = self._raw_grams[t - lo] = g @ g.T
                 self.losses[t] = losses
                 self.weights[t] = w
                 theta = theta - h * (w @ grads)
+                # A non-finite value ends the block here, for _record to name.
+                if not math.isfinite(losses.sum() + raw.sum()):
+                    hi = t + 1
+                    break
             self.theta = theta
-            pairs += self._record(lo, hi, start, stride)
+            self._record(lo, hi)
+            lo = hi
         self.t = until
-        return pairs
 
-    def _record(self, lo: int, hi: int, start: int, stride: int) -> list:
+    def _record(self, lo: int, hi: int) -> None:
         norms, grams = compress_grams(self._raw_grams[:hi - lo])
         losses = self.losses[lo:hi]
         # prev_losses: one iteration back, and the losses themselves at t = 0.
@@ -216,53 +208,60 @@ class _Descent:
                                        self.weights[lo:hi], range(lo, hi))
         self.grad_norms[lo:hi] = norms
         self.gram_upper[lo:hi] = grams[self._upper]
-        return [(GradientSnapshot(norms=norms[i], gram=grams[i], iteration=lo + i),
-                 LossSnapshot(losses=losses[i], initial_losses=initial,
-                              prev_losses=prev[i], iteration=lo + i))
-                for i in range(hi - lo) if stride and (lo + i - start) % stride == 0]
+
+    def window(self, start: int, stride: int) -> WindowBuffer:
+        """Every ``stride``-th recorded row from iteration ``start`` on.  The
+        Grams are rebuilt from their upper triangles, bit-equal to the
+        recorded ones, which :func:`compress_grams` makes exactly symmetric."""
+        rows = slice(start, self.t, stride)
+        upper = self.gram_upper[rows]
+        k = self.grad_norms.shape[1]
+        grams = np.empty((len(upper), k, k))
+        i, j = self._upper[1:]
+        grams[:, i, j] = upper
+        grams[:, j, i] = upper
+        return WindowBuffer(self.grad_norms[rows], grams, self.losses[rows])
 
     def finish(self, window_weights, final_weight, reports=()) -> TrainingRun:
         final_losses = tuple(float(v) for v in self.problem.task_losses(self.theta))
-        history = WeightHistory(
-            window_weights=tuple(window_weights), final_weight=final_weight,
-            per_iteration_weights=tuple(map(tuple, self.weights.tolist())))
         return TrainingRun(theta_final=self.theta, final_losses=final_losses,
-                           records=tuple(self.records), weight_history=history,
-                           losses=self.losses, grad_norms=self.grad_norms,
-                           gram_upper=self.gram_upper, solver_reports=tuple(reports))
+                           records=tuple(self.records),
+                           window_weights=tuple(window_weights), final_weight=final_weight,
+                           weights=self.weights, losses=self.losses,
+                           grad_norms=self.grad_norms, gram_upper=self.gram_upper,
+                           solver_reports=tuple(reports))
 
 
 def run_autoscale(problem, config: AutoScaleConfig) -> TrainingRun:
     """Full two-phase run on ``problem`` under ``config``."""
     k = problem.num_tasks
-    floor = config.weight_floor
-    current = uniform_weights(k, floor)
+    current = uniform_weights(k)
     window_weights: list[WeightVector] = []
     reports: list[SolverReport] = []
-    tau, stride = config.window_size, config.snapshot_stride
-    capacity = len(range(0, tau, stride))
+    stride = config.snapshot_stride
     descent = _Descent(problem, config.total_iters)
 
     for w_index in range(config.num_windows):
-        pairs = descent.run(lambda t: current, descent.t + tau, stride)
-        window = WindowBuffer(pairs=tuple(pairs), capacity=capacity, stride=stride)
-        # The window's last pair, recorded on its own, must give the block's
+        start = descent.t
+        descent.run(lambda t: current, start + config.window_size)
+        window = descent.window(start, stride)
+        # The window's last row, recorded on its own, must give the block's
         # record of that iteration: the solver and the trace read one row.
-        grad, loss = pairs[-1]
-        if metric_record(grad, loss, current) != descent.records[grad.iteration]:
+        t = start + (len(window) - 1) * stride
+        grad = GradientSnapshot(norms=window.norms[-1], gram=window.grams[-1], iteration=t)
+        loss = LossSnapshot(losses=window.losses[-1], initial_losses=descent.losses[0],
+                            prev_losses=descent.losses[max(t - 1, 0)], iteration=t)
+        if metric_record(grad, loss, current) != descent.records[t]:
             logger.warning("window %d: iteration %d records differently alone "
-                           "than in its block", w_index, grad.iteration)
+                           "than in its block", w_index, t)
         if config.cost_kind.is_quadratic:
-            report = solve_quadratic(quadratic_form(config.cost_kind, window),
-                                     floor=floor)
+            report = solve_quadratic(quadratic_form(config.cost_kind, window))
         else:
             child = seed_sequence(config.seed, _SOLVER_STREAM, w_index)
             report = solve_general(
                 lambda wv: window_cost(config.cost_kind, wv, window),
                 w_init=current,
-                floor=floor,
                 budget=config.solver_budget,
-                restarts=config.solver_restarts,
                 seed=int(child.generate_state(1, dtype=np.uint64)[0]),
             )
         reports.append(report)
@@ -281,7 +280,7 @@ def run_autoscale(problem, config: AutoScaleConfig) -> TrainingRun:
         final_weight = aggregate_final_weight(window_weights,
                                               config.aggregation_size)
     else:
-        final_weight = uniform_weights(k, floor)
+        final_weight = uniform_weights(k)
     descent.run(lambda t: final_weight, config.total_iters)
     return descent.finish(window_weights, final_weight, reports)
 

@@ -47,11 +47,13 @@ def loss_snap(losses, initial=None, prev=None, iteration=0):
                         iteration=iteration)
 
 
-def window(pairs, capacity=None, stride=1):
+def window(pairs):
+    """The columnar window of (GradientSnapshot, LossSnapshot) pairs."""
     pairs = tuple(pairs)
-    return WindowBuffer(pairs=pairs,
-                        capacity=capacity if capacity is not None else max(len(pairs), 1),
-                        stride=stride)
+    t, k = len(pairs), pairs[0][0].k if pairs else 0
+    return WindowBuffer(norms=np.reshape([g.norms for g, _ in pairs], (t, k)),
+                        grams=np.reshape([g.gram for g, _ in pairs], (t, k, k)),
+                        losses=np.reshape([l.losses for _, l in pairs], (t, k)))
 
 
 def constant_window(vectors, losses=None, n=1, start_iter=0):
@@ -154,7 +156,7 @@ def simplex_grid(k, step=0.01):
 # ---------------------------------------------------------------------------
 #
 # The library costs a whole window at once from its stacked columns.  These
-# helpers cost it the slow, literal way -- one snapshot at a time, through an
+# helpers cost it the slow, literal way -- one row at a time, through an
 # explicit pair-difference matrix -- so tests can check the stacked path
 # against the definition.
 
@@ -204,25 +206,30 @@ def build_pair_matrix(magnitudes):
     return PairDifferenceMatrix(matrix=matrix, pairs=tuple(pairs))
 
 
-def iteration_cost(kind, w, grad, loss):
-    """Cost of one snapshot pair under the weight array ``w``."""
+def _rows(win):
+    """The window's rows: (norms, gram, losses) per iteration."""
+    return zip(win.norms, win.grams, win.losses)
+
+
+def iteration_cost(kind, w, norms, gram, losses):
+    """Cost of one window row under the weight array ``w``."""
     kind = CostKind.parse(kind)
     if kind is CostKind.LOW_CONDITION_NUMBER:
-        kappa, _ = kappa_from_grams(grad.gram * np.outer(w, w))
+        kappa, _ = kappa_from_grams(gram * np.outer(w, w))
         if np.isnan(kappa):
             raise DegenerateInputError("scaled Gram has no positive eigenvalue")
         return float(kappa)
-    mags = grad.norms if kind is CostKind.EQUAL_GRAD_NORM else loss.losses
+    mags = norms if kind is CostKind.EQUAL_GRAD_NORM else losses
     r = build_pair_matrix(mags).matrix @ w
     return float(r @ r)
 
 
 def oracle_window_cost(kind, w, win):
-    """Mean of :func:`iteration_cost` over the window's non-degenerate pairs."""
+    """Mean of :func:`iteration_cost` over the window's non-degenerate rows."""
     values = []
-    for grad, loss in win:
+    for row in _rows(win):
         try:
-            values.append(iteration_cost(kind, w, grad, loss))
+            values.append(iteration_cost(kind, w, *row))
         except DegenerateInputError:
             pass
     if not values:
@@ -235,9 +242,8 @@ def oracle_quadratic_form(kind, win):
     kind = CostKind.parse(kind)
     k = win.k
     m = np.zeros((k, k))
-    for grad, loss in win:
-        mags = grad.norms if kind is CostKind.EQUAL_GRAD_NORM else loss.losses
-        a = build_pair_matrix(mags).matrix
+    for norms, _, losses in _rows(win):
+        a = build_pair_matrix(norms if kind is CostKind.EQUAL_GRAD_NORM else losses).matrix
         m += a.T @ a
     return m / len(win)
 

@@ -191,21 +191,21 @@ def test_criterion_05_schedule_structure(report):
                             window_size=50, aggregation_size=10,
                             cost_kind="equal-grad-norm", seed=0)
     run = a.run_autoscale(problem, cfg)
-    windows = run.weight_history.window_weights
-    per_iter = run.weight_history.per_iteration_weights
+    windows = run.window_weights
+    per_iter = run.weights
 
     n_windows = len(windows)
     constant_in_windows = True
-    expected = (1.0,) * problem.num_tasks
+    expected = np.ones(problem.num_tasks)
     for i in range(cfg.num_windows):
         span = per_iter[i * cfg.window_size:(i + 1) * cfg.window_size]
-        if not all(w == expected for w in span):
+        if not np.all(span == expected):
             constant_in_windows = False
             break
-        expected = windows[i].as_tuple()
-    final = run.weight_history.final_weight
+        expected = windows[i].w
+    final = run.final_weight
     phase2 = per_iter[cfg.exploration_iters:]
-    constant_phase2 = all(w == final.as_tuple() for w in phase2)
+    constant_phase2 = bool(np.all(phase2 == final.w))
 
     mean_tail = np.mean([wv.w for wv in windows[-10:]], axis=0)
     agg_dev = float(np.abs(final.w - mean_tail).max())

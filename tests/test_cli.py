@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from autoscale import read_trace
+from autoscale import cli, read_trace
 from autoscale.cli import RunConfig, main
 
 
@@ -122,6 +122,21 @@ def test_run_stl_skips_trace(tmp_path, capsys):
     assert data["final_weights"] is None
     # single-task training reaches the exact optima on quadratics
     assert data["delta_m"] == pytest.approx(0.0, abs=1e-4)
+
+
+def test_run_stl_trains_the_baselines_once(monkeypatch, capsys):
+    calls = []
+    train = cli.run_stl_baselines
+
+    def counted(problem, total_iters):
+        calls.append(total_iters)
+        return train(problem, total_iters)
+
+    monkeypatch.setattr(cli, "run_stl_baselines", counted)
+    assert main(["run", "--method", "stl", "--problem", "mlp", "--k", "3",
+                 "--total-iters", "50"]) == 0
+    assert calls == [50]
+    assert "delta_m=0.0000%" in capsys.readouterr().out
 
 
 def test_run_mlp_uses_stl_baselines(tmp_path):

@@ -15,7 +15,7 @@ from autoscale import (
     uniform_weights,
 )
 
-from helpers import grad_snap, loss_snap
+from helpers import grad_snap, loss_snap, window
 
 FLOOR = DEFAULT_WEIGHT_FLOOR
 
@@ -172,23 +172,11 @@ def test_loss_snapshot_validation():
 # windows
 # ---------------------------------------------------------------------------
 
-def _pair(t):
-    return (grad_snap([[1.0, 0.0], [0.0, 1.0]], iteration=t),
-            loss_snap([1.0, 1.0], iteration=t))
-
-
-def test_window_accepts_contiguous_pairs():
-    w = WindowBuffer(pairs=(_pair(0), _pair(1), _pair(2)), capacity=3)
-    assert len(w) == 3
-    assert [g.iteration for g, _ in w] == [0, 1, 2]
-    assert [l.iteration for _, l in w] == [0, 1, 2]
-
-
 def test_window_columns_stack_the_pairs():
     pairs = [(grad_snap([[1.0, 0.0], [0.0, 2.0 + t]], iteration=t),
               loss_snap([1.0 + t, 3.0], iteration=t)) for t in range(3)]
-    w = WindowBuffer(pairs=tuple(pairs), capacity=3)
-    assert w.k == 2
+    w = window(pairs)
+    assert len(w) == 3 and w.k == 2
     assert w.norms.shape == (3, 2) and w.grams.shape == (3, 2, 2)
     assert w.losses.shape == (3, 2)
     for t, (g, l) in enumerate(pairs):
@@ -198,36 +186,107 @@ def test_window_columns_stack_the_pairs():
     for arr in (w.norms, w.grams, w.losses):
         with pytest.raises(ValueError):
             arr[0] = 0.0                                      # read-only
-    empty = WindowBuffer(pairs=(), capacity=1)
+    empty = window([])
     assert len(empty) == 0 and empty.grams.size == 0
 
 
+def test_empty_window_keeps_zero_size_columns():
+    w = WindowBuffer(np.empty((0, 3)), np.empty((0, 3, 3)), np.empty((0, 3)))
+    assert len(w) == 0 and w.k == 3
+    assert w.norms.shape == (0, 3) and w.grams.shape == (0, 3, 3)
+    assert w.losses.shape == (0, 3)
+
+
 def test_window_rejects_mixed_task_counts():
-    three = (grad_snap(np.eye(3), iteration=1), loss_snap([1.0, 1.0, 1.0], iteration=1))
-    with pytest.raises(ValueError, match="same K"):
-        WindowBuffer(pairs=(_pair(0), three), capacity=2)
+    norms, grams, losses = _columns()
+    with pytest.raises(ValueError, match="window columns must be"):
+        WindowBuffer(norms, grams, losses[:, :1])
+    with pytest.raises(ValueError, match="window columns must be"):
+        WindowBuffer(norms, grams[:, :1, :1], losses)
+    with pytest.raises(ValueError, match="window columns must be"):
+        WindowBuffer(norms[:2], grams, losses)
+    with pytest.raises(ValueError, match="window columns must be"):
+        WindowBuffer(norms[0], grams[0], losses[0])
 
 
-def test_window_rejects_gaps_and_misalignment():
-    with pytest.raises(ValueError):
-        WindowBuffer(pairs=(_pair(0), _pair(2)), capacity=2)      # gap
-    bad = (grad_snap([[1.0, 0.0], [0.0, 1.0]], iteration=5),
-           loss_snap([1.0, 1.0], iteration=6))
-    with pytest.raises(ValueError):
-        WindowBuffer(pairs=(bad,), capacity=1)                    # misaligned
-    with pytest.raises(TypeError):
-        WindowBuffer(pairs=((1, 2),), capacity=1)
+def _columns():
+    """Valid three-row K=2 window columns, as writable copies."""
+    pairs = [(grad_snap([[1.0, 0.5], [0.0, 2.0 + t]], iteration=t),
+              loss_snap([1.0 + t, 3.0], iteration=t)) for t in range(3)]
+    w = window(pairs)
+    return w.norms.copy(), w.grams.copy(), w.losses.copy()
 
 
-def test_window_stride_and_capacity():
-    w = WindowBuffer(pairs=(_pair(0), _pair(2), _pair(4)), capacity=3, stride=2)
-    assert len(w) == 3
-    with pytest.raises(ValueError):
-        WindowBuffer(pairs=(_pair(0), _pair(1)), capacity=1)      # over capacity
-    with pytest.raises(ValueError):
-        WindowBuffer(pairs=(), capacity=0)
-    with pytest.raises(ValueError):
-        WindowBuffer(pairs=(_pair(0),), capacity=1, stride=0)
+def _snapshot_message(norms, grams, losses):
+    """The first message building the rows' snapshots one at a time raises."""
+    for n, g, l in zip(norms, grams, losses):
+        try:
+            GradientSnapshot(norms=n, gram=g)
+            LossSnapshot(losses=l, initial_losses=np.ones_like(l), prev_losses=l)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def _nan_norm(n, g, l, row):
+    n[row, 0] = np.nan
+
+
+def _asymmetric(n, g, l, row):
+    g[row, 0, 1] += 1e-3
+
+
+def _off_diagonal(n, g, l, row):
+    g[row, 1, 1] *= 1.5
+
+
+def _cauchy_schwarz(n, g, l, row):
+    g[row, 0, 1] = g[row, 1, 0] = 2.0 * n[row, 0] * n[row, 1]
+
+
+def _negative_loss(n, g, l, row):
+    l[row, 1] = -1.0
+
+
+def _infinite_loss(n, g, l, row):
+    l[row, 0] = np.inf
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_nan_norm, "snapshot entries must be finite"),
+    (_asymmetric, "gram matrix must be symmetric (1e-10 relative)"),
+    (_off_diagonal, "gram diagonal must equal squared norms (1e-8 relative)"),
+    (_cauchy_schwarz, "gram entries violate the Cauchy-Schwarz bound"),
+    (_negative_loss, "losses must be nonnegative"),
+    (_infinite_loss, "losses must be finite"),
+])
+def test_window_rejects_bad_rows_with_the_snapshot_message(fault, message):
+    norms, grams, losses = _columns()
+    fault(norms, grams, losses, 1)
+    assert _snapshot_message(norms, grams, losses) == message
+    with pytest.raises(ValueError) as exc:
+        WindowBuffer(norms, grams, losses)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("first, later", [
+    (_negative_loss, _nan_norm),       # a loss fault before a gradient fault
+    (_cauchy_schwarz, _asymmetric),    # a later check before an earlier one
+])
+def test_window_raises_for_the_first_failing_row(first, later):
+    norms, grams, losses = _columns()
+    first(norms, grams, losses, 1)
+    later(norms, grams, losses, 2)
+    want = _snapshot_message(norms[1:2], grams[1:2], losses[1:2])
+    assert _snapshot_message(norms, grams, losses) == want
+    with pytest.raises(ValueError) as exc:
+        WindowBuffer(norms, grams, losses)
+    assert str(exc.value) == want
+    # within one row the gradient checks come first, as in building its pair
+    later(norms, grams, losses, 1)
+    with pytest.raises(ValueError) as exc:
+        WindowBuffer(norms, grams, losses)
+    assert str(exc.value) == _snapshot_message(norms[1:2], grams[1:2], losses[1:2])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from autoscale import (
     CostKind,
     DegenerateInputError,
-    WindowBuffer,
     make_weight_vector,
     quadratic_form,
     window_cost,
@@ -136,7 +135,7 @@ def test_window_cost_is_mean_of_iteration_costs():
 
 
 def test_window_cost_empty_window():
-    empty = WindowBuffer(pairs=(), capacity=1)
+    empty = window([])
     with pytest.raises(ValueError):
         window_cost("equal-grad-norm", make_weight_vector([1.0, 1.0]), empty)
     with pytest.raises(ValueError):
@@ -259,7 +258,7 @@ def test_costs_are_permutation_equivariant():
 # one evaluation path: rows, single calls and the per-iteration oracle
 # ---------------------------------------------------------------------------
 
-def _degenerate_window(rng, k, t, stride=1):
+def _degenerate_window(rng, k, t):
     """Random window where some iterations have all-zero gradients (skipped
     by low-cond) or one zero gradient (kept, with a floored eigenvalue)."""
     pairs = []
@@ -270,11 +269,10 @@ def _degenerate_window(rng, k, t, stride=1):
             g[:] = 0.0
         elif u < 0.35:
             g[int(rng.integers(k))] = 0.0
-        it = n * stride
-        pairs.append((grad_snap(g, iteration=it),
+        pairs.append((grad_snap(g, iteration=n),
                       loss_snap(rng.uniform(0.0, 2.0, size=k), initial=np.ones(k),
-                                iteration=it)))
-    return window(pairs, stride=stride)
+                                iteration=n)))
+    return window(pairs)
 
 
 def _weight_rows(rng, k, n):
@@ -301,12 +299,11 @@ def test_rows_equal_single_calls_exactly():
 
 def test_low_cond_equals_oracle_exactly():
     """Stacked low-cond equals the per-iteration mean bit for bit, with
-    stride > 1 and with degenerate iterations skipped."""
+    degenerate iterations skipped."""
     rng = np.random.default_rng(77)
     for trial in range(120):
         k = 2 + trial % 4
-        win = _degenerate_window(rng, k, int(rng.integers(1, 40)),
-                                 stride=1 + trial % 3)
+        win = _degenerate_window(rng, k, int(rng.integers(1, 40)))
         for w in _weight_rows(rng, k, 3):
             assert window_cost("low-cond", w, win) == oracle_window_cost(
                 "low-cond", w, win), trial
@@ -316,8 +313,7 @@ def test_quadratic_kinds_match_oracle():
     rng = np.random.default_rng(78)
     for trial in range(120):
         k = 2 + trial % 7
-        win = _degenerate_window(rng, k, int(rng.integers(1, 40)),
-                                 stride=1 + trial % 3)
+        win = _degenerate_window(rng, k, int(rng.integers(1, 40)))
         for kind in ("equal-grad-norm", "equal-loss"):
             m = quadratic_form(kind, win)
             assert m == pytest.approx(oracle_quadratic_form(kind, win), rel=1e-12)

@@ -11,7 +11,6 @@ from autoscale import (
     LossSnapshot,
     QuadraticFamily,
     SolverMethod,
-    WindowBuffer,
     aggregate_final_weight,
     make_quadratic_problem,
     make_weight_vector,
@@ -24,6 +23,8 @@ from autoscale import (
     window_cost,
 )
 from autoscale import scheduler
+
+from helpers import loss_snap, window
 
 
 def _small_problem(k=2):
@@ -128,8 +129,8 @@ def test_run_shapes_and_counts():
     assert run.losses.shape == (300, 2)
     assert run.grad_norms.shape == (300, 2)
     assert run.gram_upper.shape == (300, 3)
-    assert len(run.weight_history.window_weights) == cfg.num_windows
-    assert len(run.weight_history.per_iteration_weights) == cfg.total_iters
+    assert len(run.window_weights) == cfg.num_windows
+    assert run.weights.shape == (300, 2)
     assert len(run.solver_reports) == cfg.num_windows
     assert all(r.method is SolverMethod.CLOSED_FORM_QP for r in run.solver_reports)
 
@@ -139,29 +140,26 @@ def test_weights_constant_within_each_window_and_phase2():
     cfg = _phase_config()
     run = run_autoscale(problem, cfg)
     tau = cfg.window_size
-    per_iter = run.weight_history.per_iteration_weights
-    window_weights = run.weight_history.window_weights
+    per_iter = run.weights
 
     # window 0 trains at uniform; window i >= 1 at the weight solved from
-    # window i-1; every iteration inside a window sees the identical tuple
-    expected = (1.0, 1.0)
+    # window i-1; every iteration inside a window sees the identical weights
+    expected = np.ones(2)
     for i in range(cfg.num_windows):
-        span = per_iter[i * tau:(i + 1) * tau]
-        assert all(w == expected for w in span)
-        expected = window_weights[i].as_tuple()
+        assert np.all(per_iter[i * tau:(i + 1) * tau] == expected)
+        expected = run.window_weights[i].w
 
     # phase 2 is constant at the aggregated weight
-    final = run.weight_history.final_weight.as_tuple()
-    assert all(w == final for w in per_iter[cfg.exploration_iters:])
+    assert np.all(per_iter[cfg.exploration_iters:] == run.final_weight.w)
 
 
 def test_final_weight_is_mean_of_last_windows():
     problem = _small_problem()
     cfg = _phase_config()
     run = run_autoscale(problem, cfg)
-    tail = run.weight_history.window_weights[-cfg.aggregation_size:]
+    tail = run.window_weights[-cfg.aggregation_size:]
     mean = np.mean([wv.w for wv in tail], axis=0)
-    assert np.max(np.abs(run.weight_history.final_weight.w - mean)) <= 1e-12
+    assert np.max(np.abs(run.final_weight.w - mean)) <= 1e-12
 
 
 def _rebuild_window(run, start, stop):
@@ -178,7 +176,29 @@ def _rebuild_window(run, start, stop):
         l = LossSnapshot(losses=run.losses[t], initial_losses=run.losses[0],
                          prev_losses=prev, iteration=t)
         pairs.append((g, l))
-    return WindowBuffer(pairs=tuple(pairs), capacity=len(pairs))
+    return window(pairs)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_descent_window_equals_the_snapshot_pair_window(stride):
+    """The columnar window of a descent equals the window of the snapshot
+    pairs that stepping alone produces, at every ``stride``-th iteration."""
+    problem, w = _small_problem(3), np.array([0.5, 1.0, 1.5])
+    descent = scheduler._Descent(problem, 40)
+    descent.run(lambda t: w, 10)
+    descent.run(lambda t: w, 40)
+    theta, losses, pairs = problem.initial_theta(), [], []
+    for t in range(40):
+        losses.append(problem.task_losses(theta))
+        grads = problem.task_gradients(theta)
+        if t >= 10 and (t - 10) % stride == 0:
+            pairs.append((snapshot_from_gradients(grads[:, problem.shared_slice], t),
+                          loss_snap(losses[t], losses[0], losses[max(t - 1, 0)], t)))
+        theta = theta - problem.step_size * (w @ grads)
+    got, want = descent.window(10, stride), window(pairs)
+    assert len(got) == len(range(10, 40, stride))
+    for name in ("norms", "grams", "losses"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("kind", ["equal-grad-norm", "equal-loss", "low-cond"])
@@ -188,7 +208,7 @@ def test_each_window_solve_never_regresses(kind):
     run = run_autoscale(problem, cfg)
     tau = cfg.window_size
     incumbent = uniform_weights(2)
-    for i, solved in enumerate(run.weight_history.window_weights):
+    for i, solved in enumerate(run.window_weights):
         win = _rebuild_window(run, i * tau, (i + 1) * tau)
         c_new = window_cost(kind, solved, win)
         c_old = window_cost(kind, incumbent, win)
@@ -208,7 +228,7 @@ def test_snapshot_stride_thins_the_buffer():
     cfg = _phase_config(snapshot_stride=5)
     run = run_autoscale(problem, cfg)
     # the run completes and still solves one weight per window
-    assert len(run.weight_history.window_weights) == cfg.num_windows
+    assert len(run.window_weights) == cfg.num_windows
 
 
 def test_zero_exploration_equals_unitary_run():
@@ -218,8 +238,8 @@ def test_zero_exploration_equals_unitary_run():
     fixed = run_fixed_scalarization(problem, uniform_weights(2), 200)
     assert np.array_equal(auto.theta_final, fixed.theta_final)
     assert auto.final_losses == fixed.final_losses
-    assert auto.weight_history.window_weights == ()
-    assert all(w == (1.0, 1.0) for w in auto.weight_history.per_iteration_weights)
+    assert auto.window_weights == ()
+    assert np.all(auto.weights == 1.0)
 
 
 def test_runs_are_deterministic():
@@ -229,7 +249,7 @@ def test_runs_are_deterministic():
     b = run_autoscale(problem, cfg)
     assert np.array_equal(a.theta_final, b.theta_final)
     assert a.final_losses == b.final_losses
-    assert a.weight_history.per_iteration_weights == b.weight_history.per_iteration_weights
+    assert np.array_equal(a.weights, b.weights)
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -242,12 +262,13 @@ def test_recording_block_size_leaves_runs_unchanged(monkeypatch, block):
     got = run_autoscale(problem, cfg)
     assert got.records == want.records
     assert np.array_equal(got.theta_final, want.theta_final)
-    assert got.weight_history.per_iteration_weights == want.weight_history.per_iteration_weights
-    for name in ("losses", "grad_norms", "gram_upper"):
+    for name in ("weights", "losses", "grad_norms", "gram_upper"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
-def test_divergence_names_the_first_non_finite_iteration():
+def _diverging_run():
+    """A problem whose fixed-weight run diverges, its weights, and the task
+    losses of each iteration up to the first non-finite one."""
     problem = make_quadratic_problem(k=3, d=4, scales=[1.0, 2.0, 3.0],
                                      conflict_angle=math.pi / 2.0, step_size=5.0)
     w = np.array([0.5, 1.0, 1.5])
@@ -262,6 +283,11 @@ def test_divergence_names_the_first_non_finite_iteration():
             except (AssertionError, ValueError):
                 break
             theta = theta - problem.step_size * (w @ grads)
+    return problem, w, losses
+
+
+def test_divergence_names_the_first_non_finite_iteration():
+    problem, w, losses = _diverging_run()
     t = len(losses) - 1
     with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError) as exc:
         run_fixed_scalarization(problem, make_weight_vector(w), 1000)
@@ -269,6 +295,23 @@ def test_divergence_names_the_first_non_finite_iteration():
         f"training diverged at iteration {t}: non-finite task losses or gradients; "
         f"last finite losses {losses[t - 1].tolist()} at iteration {t - 1}; "
         f"weights {[0.5, 1.0, 1.5]}")
+
+
+def test_divergence_stops_stepping_at_the_diverging_iteration(monkeypatch):
+    problem, w, losses = _diverging_run()
+    t = len(losses) - 1
+    assert t % scheduler._RECORD_BLOCK != scheduler._RECORD_BLOCK - 1
+    calls = []
+    gradients = type(problem).task_gradients
+
+    def counted(self, theta):
+        calls.append(theta)
+        return gradients(self, theta)
+
+    monkeypatch.setattr(type(problem), "task_gradients", counted)
+    with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError):
+        run_fixed_scalarization(problem, make_weight_vector(w), 1000)
+    assert len(calls) == t + 1
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +323,7 @@ def test_fixed_scalarization_descends_all_tasks():
     run = run_fixed_scalarization(problem, uniform_weights(2), 200)
     start = problem.task_losses(problem.initial_theta())
     assert all(f < s for f, s in zip(run.final_losses, start))
-    assert run.weight_history.final_weight.as_tuple() == (1.0, 1.0)
+    assert run.final_weight.as_tuple() == (1.0, 1.0)
     with pytest.raises(ValueError):
         run_fixed_scalarization(problem, uniform_weights(2), 0)
     with pytest.raises(ValueError):
@@ -293,9 +336,9 @@ def test_weight_schedule_repeatable_and_recorded():
     a = run_weight_schedule(problem, schedule, 50)
     b = run_weight_schedule(problem, schedule, 50)
     assert np.array_equal(a.theta_final, b.theta_final)
-    assert a.weight_history.per_iteration_weights == b.weight_history.per_iteration_weights
+    assert np.array_equal(a.weights, b.weights)
     # the schedule actually varies between iterations
-    assert len(set(a.weight_history.per_iteration_weights)) > 1
+    assert len(np.unique(a.weights, axis=0)) > 1
 
 
 def test_single_task_training_matches_contraction():
@@ -313,5 +356,5 @@ def test_single_task_training_matches_contraction():
     run = run_fixed_scalarization(problem, np.array([1.0]), T)
     want = 0.5 * s * (r * (1 - h * s) ** T) ** 2 + offset
     assert run.final_losses[0] == pytest.approx(want, rel=1e-10)
-    assert run.weight_history.final_weight is None
+    assert run.final_weight is None
     assert run.records[0].gms_mean is None
