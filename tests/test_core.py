@@ -188,13 +188,9 @@ def test_window_columns_stack_the_pairs():
             arr[0] = 0.0                                      # read-only
     empty = window([])
     assert len(empty) == 0 and empty.grams.size == 0
-
-
-def test_empty_window_keeps_zero_size_columns():
-    w = WindowBuffer(np.empty((0, 3)), np.empty((0, 3, 3)), np.empty((0, 3)))
-    assert len(w) == 0 and w.k == 3
-    assert w.norms.shape == (0, 3) and w.grams.shape == (0, 3, 3)
-    assert w.losses.shape == (0, 3)
+    empty = WindowBuffer(np.empty((0, 3)), np.empty((0, 3, 3)), np.empty((0, 3)))
+    assert len(empty) == 0 and empty.k == 3        # zero-size columns keep K
+    assert empty.grams.shape == (0, 3, 3) and empty.losses.shape == (0, 3)
 
 
 def test_window_rejects_mixed_task_counts():
