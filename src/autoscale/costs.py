@@ -34,7 +34,7 @@ import logging
 import numpy as np
 
 from .core import DegenerateInputError, WeightVector, WindowBuffer
-from .metrics import kappa_from_grams
+from .metrics import COND_EPS_LAMBDA, kappa_from_grams
 
 logger = logging.getLogger(__name__)
 
@@ -105,7 +105,17 @@ def _low_cond_costs(rows: np.ndarray, window: WindowBuffer) -> np.ndarray:
     for start in range(0, rows.shape[0], per_call):
         block = rows[start:start + per_call]
         outer = block[:, None, :, None] * block[:, None, None, :]   # (n, 1, K, K)
-        kappa, _ = kappa_from_grams(window.grams * outer)            # (n, T)
+        scaled = window.grams * outer                                # (n, T, K, K)
+        # Every scaled Gram with a positive eigenvalue floor (the usual case):
+        # the operations of kappa_from_grams and a row mean, on one eigvalsh.
+        lam = np.linalg.eigvalsh(scaled)
+        lam_max = lam[..., -1]
+        eps = COND_EPS_LAMBDA * lam_max
+        if eps.min() > 0.0:
+            kappa = np.sqrt(lam_max / np.maximum(lam[..., 0], eps))
+            out[start:start + len(block)] = np.add.reduce(kappa, axis=1) / t
+            continue
+        kappa, _ = kappa_from_grams(scaled)                          # (n, T)
         valid = ~np.isnan(kappa)
         means = kappa.mean(axis=1)
         # A row that skipped iterations is re-averaged over its valid ones
@@ -142,7 +152,7 @@ def window_cost(kind, weights, window: WindowBuffer):
     if w.ndim not in (1, 2) or w.shape[-1] != window.k:
         raise ValueError(f"weights must be (K,) or (N, K) with K={window.k}, "
                          f"got shape {w.shape}")
-    rows = np.atleast_2d(w)
+    rows = w[None] if w.ndim == 1 else w
     if kind.is_quadratic:
         m = quadratic_form(kind, window)
         # Elementwise, then one sum per row: each row of an (N, K) call then

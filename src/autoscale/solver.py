@@ -21,6 +21,7 @@ reports.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,6 +29,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_WEIGHT_FLOOR,
+    WEIGHT_SUM_TOL,
     DegenerateInputError,
     WeightVector,
     spawn_rng,
@@ -73,19 +75,41 @@ def project_feasible(raw, floor: float = DEFAULT_WEIGHT_FLOOR) -> WeightVector:
         raise ValueError(f"need at least 2 tasks, got {k}")
     if not np.all(np.isfinite(v)):
         raise ValueError("raw weights must be finite")
+    return WeightVector(_project(v, floor), floor)
 
-    pinned = np.zeros(k, dtype=bool)
-    for _ in range(k):
-        free = ~pinned
-        n_free = int(free.sum())
-        budget = k - floor * int(pinned.sum())
-        shift = (budget - float(v[free].sum())) / n_free
-        candidate = np.where(pinned, floor, v + shift)
-        violating = free & (candidate < floor)
-        if not violating.any():
-            return WeightVector(candidate, floor)
-        pinned |= violating
-    raise AssertionError("feasible projection failed to settle")  # pragma: no cover
+
+def _project(v: np.ndarray, floor: float) -> np.ndarray:
+    """Array core of :func:`project_feasible` for a (K,) float array, K >= 2.
+
+    The first round of clamp-and-redistribute is the whole projection when
+    no coordinate drops below the floor; otherwise the loop runs from the
+    start.  The result passes the floor and sum checks of ``WeightVector``
+    (whose message is raised on failure) without building one.
+    """
+    k = v.size
+    w = v + (k - v.sum()) / k
+    lowest = w.min()
+    if not lowest >= floor:  # a pin is needed, or v is not finite
+        if not np.all(np.isfinite(v)):
+            raise ValueError("raw weights must be finite")
+        pinned = np.zeros(k, dtype=bool)
+        for _ in range(k):
+            free = ~pinned
+            n_free = int(free.sum())
+            budget = k - floor * int(pinned.sum())
+            shift = (budget - float(v[free].sum())) / n_free
+            w = np.where(pinned, floor, v + shift)
+            violating = free & (w < floor)
+            if not violating.any():
+                break
+            pinned |= violating
+        else:  # pragma: no cover
+            raise AssertionError("feasible projection failed to settle")
+        lowest = w.min()
+    if not (0.0 < floor < 1.0 and lowest >= floor
+            and abs(float(w.sum()) - k) <= WEIGHT_SUM_TOL):
+        WeightVector(w, floor)  # raises the message of the failed invariant
+    return w
 
 
 def _sum_zero_basis(n: int) -> np.ndarray:
@@ -156,12 +180,13 @@ def solve_quadratic(m, floor: float = DEFAULT_WEIGHT_FLOOR) -> SolverReport:
 # derivative-free path
 # ---------------------------------------------------------------------------
 
-def _weights_from_logits(z: np.ndarray, k: int, floor: float) -> WeightVector:
-    """Map an unconstrained (K-1)-vector to a feasible weight vector."""
-    full = np.append(z, 0.0)
-    full = full - full.max()
+def _weights_from_logits(z: np.ndarray, k: int, floor: float) -> np.ndarray:
+    """Map an unconstrained (K-1)-vector to feasible (K,) weights."""
+    full = np.zeros(k)
+    full[:-1] = z
+    full -= full.max()
     e = np.exp(full)
-    return project_feasible(k * e / e.sum(), floor)
+    return _project(k * e / e.sum(), floor)
 
 
 def _logits_from_weights(w: np.ndarray) -> np.ndarray:
@@ -169,7 +194,7 @@ def _logits_from_weights(w: np.ndarray) -> np.ndarray:
     return logs[:-1] - logs[-1]
 
 
-def solve_general(cost: Callable[[WeightVector], float],
+def solve_general(cost: Callable[[np.ndarray], float],
                   w_init: WeightVector,
                   floor: float | None = None,
                   budget: int = 4000,
@@ -186,6 +211,11 @@ def solve_general(cost: Callable[[WeightVector], float],
     round is a whole descent, not one reflection).  ``budget`` caps total cost
     evaluations; exhausting it returns the best point so far with
     ``converged=False``.  The result is never worse than ``w_init``.
+
+    ``cost`` receives each candidate as a feasible (K,) float array (the
+    initial point as ``w_init.w``) and must not modify it; a
+    ``DegenerateInputError`` counts as +inf.  Only the returned ``w_star``
+    is a ``WeightVector``: ``w_init`` itself when no candidate beats it.
     """
     if floor is None:
         floor = w_init.floor
@@ -194,20 +224,20 @@ def solve_general(cost: Callable[[WeightVector], float],
     evals = 0
     budget_hit = False
 
-    def run_cost(wv: WeightVector) -> float:
+    def run_cost(w: np.ndarray) -> float:
         nonlocal evals
         evals += 1
         try:
-            return float(cost(wv))
+            return float(cost(w))
         except DegenerateInputError:
             return float("inf")
 
-    def f(z: np.ndarray) -> tuple[float, WeightVector]:
-        wv = _weights_from_logits(z, k, floor)
-        return run_cost(wv), wv
+    def f(z: np.ndarray) -> tuple[float, np.ndarray]:
+        w = _weights_from_logits(z, k, floor)
+        return run_cost(w), w
 
-    init_cost = run_cost(w_init)
-    candidates: list[tuple[float, WeightVector]] = [(init_cost, w_init)]
+    init_cost = run_cost(w_init.w)
+    candidates: list[tuple[float, np.ndarray]] = [(init_cost, w_init.w)]
 
     z_init = _logits_from_weights(w_init.w)
     starts = [z_init]
@@ -218,34 +248,34 @@ def solve_general(cost: Callable[[WeightVector], float],
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
 
     def descend(z0: np.ndarray, step: float
-                ) -> tuple[float, WeightVector, np.ndarray]:
+                ) -> tuple[float, np.ndarray, np.ndarray]:
         """One complete Nelder-Mead descent from ``z0``.
 
         Runs until the simplex values have collapsed (relative spread below
         1e-12), an iteration cap is reached, or the budget runs out; returns
-        the best vertex seen.
+        the best vertex seen.  The vertices are the rows of ``points``.
         """
         nonlocal budget_hit
-        points = [np.array(z0, dtype=float)]
-        for i in range(n):
-            offset = np.zeros(n)
-            offset[i] = step
-            points.append(z0 + offset)
+        points = np.empty((n + 1, n))
+        points[0] = z0
+        points[1:] = z0 + np.eye(n) * step
         scored = [f(p) for p in points]
         values = [c for c, _ in scored]
-        wvs = [wv for _, wv in scored]
+        ws = [w for _, w in scored]
         for _ in range(200 * max(n, 1)):
             if evals >= budget:
                 budget_hit = True
                 break
-            order = np.argsort(values, kind="stable")
-            points = [points[i] for i in order]
+            # Stable, with NaN last, as np.argsort(kind="stable") orders them.
+            order = sorted(range(n + 1),
+                           key=lambda i: (values[i] != values[i], values[i]))
+            points = points.take(order, axis=0)
             values = [values[i] for i in order]
-            wvs = [wvs[i] for i in order]
+            ws = [ws[i] for i in order]
             spread = values[-1] - values[0]
-            if np.isfinite(spread) and spread <= 1e-12 * (1.0 + abs(values[0])):
+            if math.isfinite(spread) and spread <= 1e-12 * (1.0 + abs(values[0])):
                 break
-            centroid = np.mean(points[:-1], axis=0)
+            centroid = np.add.reduce(points[:-1], axis=0) / n
 
             reflected = centroid + alpha * (centroid - points[-1])
             fr, wr = f(reflected)
@@ -253,35 +283,35 @@ def solve_general(cost: Callable[[WeightVector], float],
                 expanded = centroid + gamma * (reflected - centroid)
                 fe, we = f(expanded)
                 if fe < fr:
-                    points[-1], values[-1], wvs[-1] = expanded, fe, we
+                    points[-1], values[-1], ws[-1] = expanded, fe, we
                 else:
-                    points[-1], values[-1], wvs[-1] = reflected, fr, wr
+                    points[-1], values[-1], ws[-1] = reflected, fr, wr
             elif fr < values[-2]:
-                points[-1], values[-1], wvs[-1] = reflected, fr, wr
+                points[-1], values[-1], ws[-1] = reflected, fr, wr
             else:
                 contracted = centroid + rho * (points[-1] - centroid)
                 fc, wc = f(contracted)
                 if fc < values[-1]:
-                    points[-1], values[-1], wvs[-1] = contracted, fc, wc
+                    points[-1], values[-1], ws[-1] = contracted, fc, wc
                 else:
-                    for i in range(1, len(points)):
-                        points[i] = points[0] + sigma * (points[i] - points[0])
-                        values[i], wvs[i] = f(points[i])
+                    points[1:] = points[0] + sigma * (points[1:] - points[0])
+                    for i in range(1, n + 1):
+                        values[i], ws[i] = f(points[i])
         i_best = int(np.argmin(values))
-        return values[i_best], wvs[i_best], points[i_best]
+        return values[i_best], ws[i_best], points[i_best]
 
     for z0 in starts:
         if evals >= budget:
             budget_hit = True
             break
         inc_cost, inc_w = f(z0)
-        inc_z = np.array(z0, dtype=float)
+        inc_z = z0
         step = 0.4
         while evals < budget:
-            c, wv, z = descend(inc_z, step)
+            c, w, z = descend(inc_z, step)
             improved = c < inc_cost - IMPROVEMENT_TOL
             if c < inc_cost:
-                inc_cost, inc_w, inc_z = c, wv, z
+                inc_cost, inc_w, inc_z = c, w, z
             if not improved:
                 break
             step = max(0.5 * step, 0.02)
@@ -291,11 +321,12 @@ def solve_general(cost: Callable[[WeightVector], float],
 
     best_cost = min(c for c, _ in candidates)
     window = TIE_TOL * (1.0 + abs(best_cost))
-    tied = [(c, wv) for c, wv in candidates if c <= best_cost + window]
+    tied = [(c, w) for c, w in candidates if c <= best_cost + window]
     ones = np.ones(k)
-    tied.sort(key=lambda cw: (float(np.linalg.norm(cw[1].w - ones)), cw[0]))
+    tied.sort(key=lambda cw: (float(np.linalg.norm(cw[1] - ones)), cw[0]))
     final_cost, final_w = tied[0]
+    w_star = w_init if final_w is w_init.w else WeightVector(final_w, floor)
 
-    return SolverReport(w_star=final_w, cost_at_w_star=final_cost,
+    return SolverReport(w_star=w_star, cost_at_w_star=final_cost,
                         iterations=evals, converged=not budget_hit,
                         method=SolverMethod.SIMPLEX_SEARCH)

@@ -209,11 +209,11 @@ def test_solve_general_handles_degenerate_costs():
     win = _norm_window([1.0, 2.0])
 
     def spiky(w):
-        if w.w[0] > 1.5:
+        if w[0] > 1.5:
             from autoscale import DegenerateInputError
             raise DegenerateInputError("synthetic dead zone")
         return window_cost("equal-grad-norm", w, win)
 
     report = solve_general(spiky, w_init=uniform_weights(2), seed=0)
-    assert report.cost_at_w_star <= spiky(uniform_weights(2))
+    assert report.cost_at_w_star <= spiky(uniform_weights(2).w)
     assert report.w_star.w[0] <= 1.5
