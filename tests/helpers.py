@@ -206,6 +206,25 @@ def build_pair_matrix(magnitudes):
     return PairDifferenceMatrix(matrix=matrix, pairs=tuple(pairs))
 
 
+def clamp_and_redistribute(raw, floor):
+    """The feasible projection as a loop from its first round: shift the free
+    coordinates to restore the sum K, pin those below the floor, repeat."""
+    v = np.asarray(raw, dtype=float)
+    k = v.size
+    pinned = np.zeros(k, dtype=bool)
+    for _ in range(k):
+        free = ~pinned
+        n_free = int(free.sum())
+        budget = k - floor * int(pinned.sum())
+        shift = (budget - float(v[free].sum())) / n_free
+        candidate = np.where(pinned, floor, v + shift)
+        violating = free & (candidate < floor)
+        if not violating.any():
+            return WeightVector(candidate, floor).w
+        pinned |= violating
+    raise AssertionError("feasible projection failed to settle")
+
+
 def _rows(win):
     """The window's rows: (norms, gram, losses) per iteration."""
     return zip(win.norms, win.grams, win.losses)
