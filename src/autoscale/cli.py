@@ -11,6 +11,9 @@ Subcommands:
 A declarative JSON config can replace the flags; explicit flags override the
 file.  Unknown config keys are rejected.  The environment variable
 ``AUTOSCALE_LOG`` controls log verbosity only — it never changes results.
+
+Exit codes: 0 on success, 2 for invalid input or a failed command, 3 when
+training diverges (a ``DivergenceError``, whose message names the iteration).
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .bench import (
     run_stl_baselines,
     sample_weight_sets,
 )
-from .core import make_weight_vector, uniform_weights
+from .core import DivergenceError, make_weight_vector, uniform_weights
 from .costs import CostKind
 from .evaluation import TaskScore, delta_m, delta_m_deg, mean_rank, spearman_correlation
 from .scheduler import (
@@ -563,6 +566,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ eagerly, so a constructed value is always safe to share across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,3 +368,9 @@ class MetricRecord:
             raise ValueError(f"relative losses must sum to 1, got {sum(self.rl)!r}")
         for name in ("ilr", "ldr", "rl", "weights", "degenerate_flags"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not all(map(math.isfinite, (self.cond_number, self.ilr_std, self.rl_std,
+                                       *self.ilr, *self.ldr, *self.rl, *self.weights))):
+            bad = [name for name in ("cond_number", "ilr_std", "rl_std", "ilr", "ldr",
+                                     "rl", "weights")
+                   if not np.isfinite(getattr(self, name)).all()]
+            raise ValueError(f"metric record values must be finite: {', '.join(bad)}")

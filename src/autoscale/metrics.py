@@ -21,6 +21,7 @@ The per-snapshot functions define each metric one value at a time.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -174,7 +175,14 @@ def task_std(values) -> float:
         raise ValueError("task_std needs a vector of at least two tasks")
     if not np.all(np.isfinite(arr)):
         raise ValueError("task_std input must be finite")
-    return float(np.std(arr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(np.std(arr))
+    if not math.isfinite(std):
+        # The squared deviations overflow once values pass ~1e154: take the
+        # spread of the values scaled by their largest magnitude.
+        top = float(np.abs(arr).max())
+        std = float(np.std(arr / top)) * top
+    return std
 
 
 def metric_records(norms, grams, losses, initial_losses, prev_losses, weights,
@@ -239,10 +247,14 @@ def metric_records(norms, grams, losses, initial_losses, prev_losses, weights,
         rl[r] = 1.0 / k
         flags[r] += ("rl degenerate: relative_loss: all task losses are zero",)
 
-    ilr_std = np.std(ilr, axis=1).tolist() if k >= 2 else [0.0] * b
+    # Rows whose squared deviations overflow take task_std's scaled spread.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ilr_std = np.std(ilr, axis=1) if k >= 2 else np.zeros(b)
+    for r in np.flatnonzero(~np.isfinite(ilr_std)):
+        ilr_std[r] = task_std(ilr[r])
     cond = np.where(np.isnan(kappa), 1.0, kappa).tolist()
     return [MetricRecord(*row) for row in zip(
-        iterations, *pair_means, cond, ilr.tolist(), ilr_std, ldr.tolist(),
+        iterations, *pair_means, cond, ilr.tolist(), ilr_std.tolist(), ldr.tolist(),
         rl.tolist(), np.std(rl, axis=1).tolist(), weights.tolist(), flags)]
 
 

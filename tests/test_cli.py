@@ -1,6 +1,7 @@
 """Command-line shell: run, sweep, analyze, eval."""
 import csv
 import json
+import math
 import re
 
 import pytest
@@ -192,10 +193,33 @@ def test_single_task_quadratic_exits_2(capsys):
 def test_diverging_run_names_the_iteration(capsys):
     rc = main(["run", "--method", "fixed", "--problem", "quadratic", "--k", "3",
                "--weights", "1,1,1", "--step-size", "50"])
-    assert rc == 2
+    assert rc == 3
     assert re.search(r"error: training diverged at iteration (\d+): non-finite task "
                      r"losses or gradients; last finite losses \[[^]]+\] at iteration "
                      r"\d+; weights \[1\.0, 1\.0, 1\.0\]", capsys.readouterr().err)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_run_leaves_no_trace(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    rc = main(["run", "--method", "fixed", "--problem", "quadratic", "--k", "3",
+               "--weights", "1,1,1", "--step-size", "50", "--trace", str(trace)])
+    assert rc == 3
+    assert not trace.exists()
+
+
+def test_losses_past_the_square_overflow_give_a_complete_trace(tmp_path):
+    """Losses pass 1e154 at iteration 52 and stay finite: every line is kept
+    and re-parses with a finite spread."""
+    trace = tmp_path / "f.jsonl"
+    rc = main(["run", "--method", "fixed", "--problem", "quadratic", "--k", "3",
+               "--weights", "1,1,1", "--step-size", "50", "--total-iters", "60",
+               "--trace", str(trace)])
+    assert rc == 0
+    lines = read_trace(trace)
+    assert len(lines) == 60
+    assert max(lines[52].losses) > 1e154
+    assert all(math.isfinite(line.ilr_std) for line in lines)
 
 
 # ---------------------------------------------------------------------------

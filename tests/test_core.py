@@ -313,6 +313,14 @@ def test_metric_record_range_checks():
     _record(gms_mean=None, gcs_mean=None)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("ilr_std", float("inf")), ("rl_std", float("nan")), ("ilr", (1.0, float("inf"))),
+    ("ldr", (float("inf"), 1.0)), ("weights", (float("nan"), 1.0))])
+def test_metric_record_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"metric record values must be finite: {field}$"):
+        _record(**{field: value})
+
+
 def test_metric_record_coerces_tuples():
     r = _record(ilr=[1.0, 2.0])
     assert r.ilr == (1.0, 2.0)

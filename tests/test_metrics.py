@@ -1,4 +1,6 @@
 """Per-iteration diagnostics: magnitude/cosine similarity, conditioning, loss ratios."""
+import statistics
+
 import numpy as np
 import pytest
 
@@ -393,3 +395,18 @@ def test_metric_records_reject_a_row_like_its_snapshot(bad_gram, bad_norms):
     with pytest.raises(ValueError) as block_error:
         metric_records(norms, grams, losses, initial, prev, weights, iters)
     assert str(block_error.value) == str(snapshot_error.value)
+
+
+
+def test_spreads_past_the_square_overflow_stay_finite():
+    """Finite losses past ~1e154 overflow the squares inside np.std."""
+    values = [1.0, 1e160, 2e160]
+    assert task_std(values) == pytest.approx(statistics.pstdev(values), rel=1e-15)
+    rng = np.random.default_rng(5)
+    pairs = _degenerate_block(3, rng)
+    norms, grams, _, _, _, weights, iters = _stack(pairs, np.ones(3))
+    losses = np.ones((len(iters), 3))
+    losses[5] = values
+    records = metric_records(norms, grams, losses, np.ones(3), losses, weights, iters)
+    assert records[5].ilr_std == task_std(values)
+    assert [r.ilr_std for r in records[:5]] == [0.0] * 5
