@@ -111,7 +111,7 @@ def _low_cond_costs(rows: np.ndarray, window: WindowBuffer) -> np.ndarray:
         lam = np.linalg.eigvalsh(scaled)
         lam_max = lam[..., -1]
         eps = COND_EPS_LAMBDA * lam_max
-        if eps.min() > 0.0:
+        if np.minimum.reduce(eps, axis=None) > 0.0:
             kappa = np.sqrt(lam_max / np.maximum(lam[..., 0], eps))
             out[start:start + len(block)] = np.add.reduce(kappa, axis=1) / t
             continue

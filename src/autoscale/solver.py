@@ -87,8 +87,8 @@ def _project(v: np.ndarray, floor: float) -> np.ndarray:
     (whose message is raised on failure) without building one.
     """
     k = v.size
-    w = v + (k - v.sum()) / k
-    lowest = w.min()
+    w = v + (k - np.add.reduce(v)) / k
+    lowest = np.minimum.reduce(w)
     if not lowest >= floor:  # a pin is needed, or v is not finite
         if not np.all(np.isfinite(v)):
             raise ValueError("raw weights must be finite")
@@ -107,7 +107,7 @@ def _project(v: np.ndarray, floor: float) -> np.ndarray:
             raise AssertionError("feasible projection failed to settle")
         lowest = w.min()
     if not (0.0 < floor < 1.0 and lowest >= floor
-            and abs(float(w.sum()) - k) <= WEIGHT_SUM_TOL):
+            and abs(float(np.add.reduce(w)) - k) <= WEIGHT_SUM_TOL):
         WeightVector(w, floor)  # raises the message of the failed invariant
     return w
 
@@ -184,9 +184,9 @@ def _weights_from_logits(z: np.ndarray, k: int, floor: float) -> np.ndarray:
     """Map an unconstrained (K-1)-vector to feasible (K,) weights."""
     full = np.zeros(k)
     full[:-1] = z
-    full -= full.max()
+    full -= np.maximum.reduce(full)
     e = np.exp(full)
-    return _project(k * e / e.sum(), floor)
+    return _project(k * e / np.add.reduce(e), floor)
 
 
 def _logits_from_weights(w: np.ndarray) -> np.ndarray:
