@@ -14,6 +14,16 @@ The feasible set is {w : sum(w) = K, w_i >= floor}.  Two solve paths:
   exponential of z, floored), with multi-start: the provided initial point
   plus seeded perturbed restarts.  Never returns a point worse than the
   initial one; cost ties break toward the candidate closest to uniform.
+  The search works on plain (K,) arrays: every candidate is projected by
+  the array core of :func:`project_feasible` and checked against the floor
+  and the sum, and only the returned point becomes a WeightVector.
+
+Where an evaluation of the search spends its time, for the low-cond cost of a
+50-iteration K=3 window (about 1,000 evaluations per solve): about two thirds
+is the one stacked ``eigvalsh`` of the 50 scaled Grams (LAPACK and numpy's
+wrapper); the rest is a few dozen numpy calls on (K,) and (T,) arrays, split
+roughly evenly between the cost's elementwise work, the logit-to-weight map
+with its projection, and the simplex bookkeeping.
 
 Both produce a :class:`SolverReport`; fixed inputs and seed give bit-identical
 reports.
@@ -105,7 +115,7 @@ def _project(v: np.ndarray, floor: float) -> np.ndarray:
             pinned |= violating
         else:  # pragma: no cover
             raise AssertionError("feasible projection failed to settle")
-        lowest = w.min()
+        lowest = np.minimum.reduce(w)
     if not (0.0 < floor < 1.0 and lowest >= floor
             and abs(float(np.add.reduce(w)) - k) <= WEIGHT_SUM_TOL):
         WeightVector(w, floor)  # raises the message of the failed invariant

@@ -397,7 +397,6 @@ def test_metric_records_reject_a_row_like_its_snapshot(bad_gram, bad_norms):
     assert str(block_error.value) == str(snapshot_error.value)
 
 
-
 def test_spreads_past_the_square_overflow_stay_finite():
     """Finite losses past ~1e154 overflow the squares inside np.std."""
     values = [1.0, 1e160, 2e160]
