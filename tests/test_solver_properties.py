@@ -17,10 +17,15 @@ def _vectors(lo, hi):
 # Mixed signs (pins in most rounds) and positive entries (mostly one round).
 raw_vectors = st.one_of(_vectors(-4.0, 8.0), _vectors(0.05, 3.0))
 
-# Logits as the simplex search draws them: K * softmax, whose small entries
-# fall under the floor and need pins.
-softmax_vectors = st.lists(st.floats(-15.0, 15.0), min_size=2, max_size=8).map(
-    lambda z: len(z) * np.exp(np.array(z) - max(z)) / np.exp(np.array(z) - max(z)).sum())
+
+def _k_softmax(z):
+    e = np.exp(np.array(z) - max(z))
+    return len(z) * e / e.sum()
+
+
+# Weights as the simplex search draws them: K * softmax of logits, whose
+# small entries fall under the floor and need pins.
+softmax_vectors = st.lists(st.floats(-15.0, 15.0), min_size=2, max_size=8).map(_k_softmax)
 
 
 @_SETTINGS
