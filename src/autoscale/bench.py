@@ -15,8 +15,12 @@ samplers for sweeps, and the per-iteration random-weighting baseline.
 
 A problem object exposes ``num_tasks``, ``full_dim``, ``step_size``,
 ``shared_slice``, ``reference_optima``, ``initial_theta()``,
-``task_losses(theta)`` and ``task_gradients(theta)``; training is plain
-fixed-step descent on the weighted total loss.
+``task_losses(theta)`` and ``task_gradients(theta, tasks=None)``; training
+is plain fixed-step descent on the weighted total loss.  Without ``tasks``
+the gradients are the full (K, full_dim) matrix; with it, only the listed
+tasks are computed, row ``i`` for task ``tasks[i]``, and an entry that is not
+an int in [0, K) raises ``ValueError``.  The single-task baselines ask for
+one row per step.
 """
 from __future__ import annotations
 
@@ -49,7 +53,23 @@ class MultiTaskProblem(Protocol):
 
     def task_losses(self, theta: np.ndarray) -> np.ndarray: ...
 
-    def task_gradients(self, theta: np.ndarray) -> np.ndarray: ...
+    def task_gradients(self, theta: np.ndarray,
+                       tasks: Sequence[int] | None = None) -> np.ndarray:
+        """(len(tasks), full_dim) gradients, row i for task ``tasks[i]``.
+
+        ``tasks=None`` is the full (K, full_dim) matrix.  An entry that is not
+        an int in [0, K) raises ``ValueError``.
+        """
+        ...
+
+
+def _task_rows(tasks: Sequence[int], k: int) -> list[int]:
+    """``tasks`` as a list after checking each entry is an int in [0, k)."""
+    rows = list(tasks)
+    for t in rows:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t < k:
+            raise ValueError(f"task index {t!r} is not an int in [0, K) for K = {k}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +145,14 @@ class QuadraticFamily:
         quad = np.einsum("kd,kde,ke->k", diffs, self.curvatures, diffs)
         return 0.5 * self.scales * quad + self.offsets
 
-    def task_gradients(self, theta: np.ndarray) -> np.ndarray:
-        diffs = theta[None, :] - self.centers
-        return self.scales[:, None] * np.einsum("kde,ke->kd", self.curvatures, diffs)
+    def task_gradients(self, theta: np.ndarray,
+                       tasks: Sequence[int] | None = None) -> np.ndarray:
+        centers, curvatures, scales = self.centers, self.curvatures, self.scales
+        if tasks is not None:
+            rows = _task_rows(tasks, self.num_tasks)
+            centers, curvatures, scales = centers[rows], curvatures[rows], scales[rows]
+        diffs = theta[None, :] - centers
+        return scales[:, None] * np.einsum("kde,ke->kd", curvatures, diffs)
 
     def weighted_optimum(self, weights) -> np.ndarray:
         """Closed-form minimizer of sum_k w_k l_k (Pareto point of w)."""
@@ -322,19 +347,21 @@ class MLPRegressionFamily:
         residual = preds.T - self.y                     # (K, n)
         return np.mean(residual ** 2, axis=1)
 
-    def task_gradients(self, theta: np.ndarray) -> np.ndarray:
+    def task_gradients(self, theta: np.ndarray,
+                       tasks: Sequence[int] | None = None) -> np.ndarray:
         w1, b1, w2, b2, heads = self._unpack(theta)
         n = self.x.shape[0]
         k = self.num_tasks
+        rows = range(k) if tasks is None else _task_rows(tasks, k)
         h1 = np.tanh(self.x @ w1 + b1)
         h2 = np.tanh(h1 @ w2 + b2)
         preds = h2 @ heads[:, :-1].T + heads[:, -1]
-        grads = np.zeros((k, self.full_dim))
+        grads = np.zeros((len(rows), self.full_dim))
         d_h2_pre_base = 1.0 - h2 ** 2                   # tanh'
         d_h1_pre_base = 1.0 - h1 ** 2
         trunk = self.trunk_dim
         per_head = self.width + 1
-        for t in range(k):
+        for i, t in enumerate(rows):
             d_pred = 2.0 * (preds[:, t] - self.y[t]) / n          # (n,)
             d_v = h2.T @ d_pred                                   # (width,)
             d_c = float(d_pred.sum())
@@ -348,10 +375,10 @@ class MLPRegressionFamily:
             d_b1 = d_a1.sum(axis=0)
             flat_trunk = np.concatenate(
                 [d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
-            grads[t, :trunk] = flat_trunk
+            grads[i, :trunk] = flat_trunk
             start = trunk + t * per_head
-            grads[t, start:start + self.width] = d_v
-            grads[t, start + self.width] = d_c
+            grads[i, start:start + self.width] = d_v
+            grads[i, start + self.width] = d_c
         return grads
 
 
@@ -400,7 +427,8 @@ def run_stl_baselines(problem, total_iters: int) -> np.ndarray:
     """Best per-task loss from independent single-task training runs.
 
     Task k trains alone (descent on l_k only) from the shared initial point;
-    the returned baseline is the best loss seen along each run.
+    the returned baseline is the best loss seen along each run.  Each step
+    computes the gradient of task k alone.
     """
     if total_iters < 1:
         raise ValueError("total_iters must be >= 1")
@@ -412,7 +440,7 @@ def run_stl_baselines(problem, total_iters: int) -> np.ndarray:
         for _ in range(total_iters):
             losses = problem.task_losses(theta)
             best[task] = min(best[task], float(losses[task]))
-            theta = theta - h * np.asarray(problem.task_gradients(theta))[task]
+            theta = theta - h * np.asarray(problem.task_gradients(theta, (task,)))[0]
         best[task] = min(best[task], float(problem.task_losses(theta)[task]))
     return best
 

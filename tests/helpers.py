@@ -2,7 +2,8 @@
 
 The oracles compute slowly and literally what the library computes in
 stacked form: window costs one iteration at a time, metric records one task
-pair at a time, gradients by central differences.
+pair at a time, gradients by central differences, single-task baselines from
+the full gradient matrix.
 """
 import math
 from dataclasses import dataclass
@@ -337,3 +338,19 @@ def finite_difference_gradients(problem, theta: np.ndarray) -> np.ndarray:
         grads[:, i] = (np.asarray(problem.task_losses(plus)) -
                        np.asarray(problem.task_losses(minus))) / (2.0 * step)
     return grads
+
+
+def oracle_stl_baselines(problem, total_iters: int) -> np.ndarray:
+    """Single-task baselines stepping on row ``task`` of the full gradient
+    matrix: all K gradients per step, one of them used."""
+    k = problem.num_tasks
+    h = problem.step_size
+    best = np.full(k, np.inf)
+    for task in range(k):
+        theta = np.array(problem.initial_theta(), dtype=float)
+        for _ in range(total_iters):
+            losses = problem.task_losses(theta)
+            best[task] = min(best[task], float(losses[task]))
+            theta = theta - h * np.asarray(problem.task_gradients(theta))[task]
+        best[task] = min(best[task], float(problem.task_losses(theta)[task]))
+    return best

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autoscale import (
     imbalanced_reference_problem,
@@ -19,7 +20,16 @@ from autoscale import (
     pairwise_mean,
 )
 
-from helpers import finite_difference_gradients
+from helpers import finite_difference_gradients, oracle_stl_baselines
+
+_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+# One instance of each family with K >= 3, so subsets can be reordered.
+_FAMILIES = {
+    "mlp": make_mlp_problem(k=4, input_dim=2, width=8, n_samples=16, seed=1),
+    "quadratic": make_quadratic_problem(k=4, d=5, scales=[1.0, 2.0, 0.5, 4.0],
+                                        conflict_angle=math.pi / 3.0, seed=1),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +58,57 @@ def test_reference_problem_gradients_match_finite_differences():
 def test_mlp_gradients_match_finite_differences():
     problem = make_mlp_problem(k=2, input_dim=2, width=8, n_samples=16, seed=4)
     _check_gradients(problem, np.random.default_rng(2), points=5, scale=0.2)
+
+
+# ---------------------------------------------------------------------------
+# gradients of a subset of the tasks
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _theta_and_tasks(draw):
+    problem = _FAMILIES[draw(st.sampled_from(sorted(_FAMILIES)))]
+    seed = draw(st.integers(0, 2**32 - 1))
+    theta = problem.initial_theta() + \
+        0.5 * np.random.default_rng(seed).standard_normal(problem.full_dim)
+    k = problem.num_tasks
+    tasks = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k,
+                          unique=True))
+    return problem, theta, tasks
+
+
+@_SETTINGS
+@given(_theta_and_tasks())
+def test_task_subset_rows_equal_the_full_matrix_rows_bitwise(case):
+    problem, theta, tasks = case
+    rows = problem.task_gradients(theta, tuple(tasks))
+    assert rows.shape == (len(tasks), problem.full_dim)
+    assert rows.tobytes() == problem.task_gradients(theta)[tasks].tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("bad", [-1, 4, 7, 1.0, "0", True, None])
+def test_task_indices_outside_the_tasks_are_rejected(family, bad):
+    problem = _FAMILIES[family]
+    with pytest.raises(ValueError, match=rf"task index {bad!r} .* K = 4"):
+        problem.task_gradients(problem.initial_theta(), (0, bad))
+
+
+def test_stl_baselines_request_one_gradient_row_per_step():
+    problem = make_mlp_problem(k=8, input_dim=2, width=8, n_samples=16, seed=1)
+    rows = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(problem, name)
+
+        def task_gradients(self, theta, tasks=None):
+            grads = problem.task_gradients(theta, tasks)
+            rows.append(grads.shape[0])
+            return grads
+
+    run_stl_baselines(Counting(), 5)
+    assert len(rows) == 8 * 5
+    assert sum(rows) == 8 * 5
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +214,18 @@ def test_stl_baselines_reach_quadratic_optima():
     assert baselines == pytest.approx([0.5, 1.25], abs=1e-6)
     with pytest.raises(ValueError):
         run_stl_baselines(problem, 0)
+
+
+@pytest.mark.parametrize("problem, iters", [
+    (make_mlp_problem(k=3, seed=2), 200),
+    (make_mlp_problem(k=8, step_size=0.05, seed=1), 60),
+    (make_quadratic_problem(k=2, d=3, scales=[1.0, 2.0],
+                            conflict_angle=math.pi / 3.0, seed=0,
+                            offsets=[0.5, 1.25]), 200),
+], ids=["mlp-k3", "mlp-k8", "quadratic-k2"])
+def test_stl_baselines_equal_the_full_matrix_oracle_bytewise(problem, iters):
+    assert run_stl_baselines(problem, iters).tobytes() == \
+        oracle_stl_baselines(problem, iters).tobytes()
 
 
 def test_stl_baselines_solve_realizable_mlp():

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autoscale import (
     TRACE_FIELDS,
@@ -52,6 +53,36 @@ def test_round_trip_preserves_signed_zero_and_extremes():
     back = parse_trace_line(serialize_trace_line(line))
     assert all(_bits_equal(x, y) for x, y in zip(tricky, back.gram_upper))
     assert all(_bits_equal(x, y) for x, y in zip(line.ilr, back.ilr))
+
+
+# Finite floats, with the edges a trace must carry exactly always in reach:
+# signed zero, the subnormal range and the top of the double range.
+_EDGES = (-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+          1.7976931348623157e308, -1.7976931348623157e308, 1.79e308, -1.79e308)
+_floats = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+_float_tuples = st.lists(_floats, max_size=6).map(tuple)
+
+
+@st.composite
+def _trace_lines(draw):
+    fields = {name: draw(st.text(max_size=8))
+              for name in ("run_id", "method", "cost_kind", "config_hash")}
+    fields.update({name: draw(st.integers(0, 2**63)) for name in ("seed", "iter")})
+    fields.update({name: draw(_float_tuples) for name in (
+        "weights", "losses", "grad_norms", "gram_upper", "ilr", "ldr", "rl")})
+    fields.update({name: draw(st.none() | _floats) for name in ("gms_mean", "gcs_mean")})
+    fields.update({name: draw(_floats) for name in ("cond_number", "ilr_std", "rl_std")})
+    fields["degenerate_flags"] = tuple(draw(st.lists(st.text(max_size=12), max_size=3)))
+    return TraceLine(**fields)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_trace_lines())
+def test_generated_lines_round_trip_bitwise(line):
+    text = serialize_trace_line(line)
+    back = parse_trace_line(text)
+    assert _lines_identical(line, back)
+    assert serialize_trace_line(back) == text
 
 
 def test_field_order_is_fixed():
