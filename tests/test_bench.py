@@ -22,8 +22,6 @@ from autoscale import (
 
 from helpers import finite_difference_gradients, oracle_stl_baselines
 
-_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
-
 # One instance of each family with K >= 3, so subsets can be reordered.
 _FAMILIES = {
     "mlp": make_mlp_problem(k=4, input_dim=2, width=8, n_samples=16, seed=1),
@@ -76,7 +74,7 @@ def _theta_and_tasks(draw):
     return problem, theta, tasks
 
 
-@_SETTINGS
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(_theta_and_tasks())
 def test_task_subset_rows_equal_the_full_matrix_rows_bitwise(case):
     problem, theta, tasks = case
@@ -86,7 +84,7 @@ def test_task_subset_rows_equal_the_full_matrix_rows_bitwise(case):
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
-@pytest.mark.parametrize("bad", [-1, 4, 7, 1.0, "0", True, None])
+@pytest.mark.parametrize("bad", [-1, 4, 1.0, "0", True, None])
 def test_task_indices_outside_the_tasks_are_rejected(family, bad):
     problem = _FAMILIES[family]
     with pytest.raises(ValueError, match=rf"task index {bad!r} .* K = 4"):
