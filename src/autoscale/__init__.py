@@ -79,7 +79,6 @@ from .traceio import (
     parse_trace_line,
     read_trace,
     serialize_trace_line,
-    trace_line_from_record,
     write_trace,
 )
 
@@ -143,7 +142,6 @@ __all__ = [
     "parse_trace_line",
     "read_trace",
     "serialize_trace_line",
-    "trace_line_from_record",
     "write_trace",
     "__version__",
 ]

@@ -12,7 +12,9 @@ A declarative JSON config can replace the flags; explicit flags override the
 file.  Unknown config keys are rejected.  The environment variable
 ``AUTOSCALE_LOG`` controls log verbosity only — it never changes results.
 
-Exit codes: 0 on success, 2 for invalid input or a failed command, 3 when
+Exit codes: 0 on success; 1 when there is nothing to report (``analyze``
+without input, or with an empty trace or summary; ``eval`` with a missing key
+or empty ``methods``); 2 for invalid input or a failed command; 3 when
 training diverges (a ``DivergenceError``, whose message names the iteration).
 """
 from __future__ import annotations
@@ -24,6 +26,7 @@ import logging
 import math
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -48,7 +51,7 @@ from .scheduler import (
     run_fixed_scalarization,
     run_weight_schedule,
 )
-from .traceio import config_hash, trace_line_from_record, write_trace, read_trace
+from .traceio import TraceLine, config_hash, read_trace, write_trace
 
 logger = logging.getLogger(__name__)
 
@@ -237,17 +240,15 @@ def execute_run(cfg: RunConfig) -> dict:
 
 
 def trace_lines_for_run(run: TrainingRun, cfg: RunConfig):
-    run_id = cfg.resolved_run_id()
-    chash = cfg.semantic_hash()
-    cost = cfg.cost_kind if cfg.method == "autoscale" else ""
-    for i, record in enumerate(run.records):
-        yield trace_line_from_record(
-            record,
-            losses=run.losses[i],
-            grad_norms=run.grad_norms[i],
-            gram_upper=run.gram_upper[i],
-            run_id=run_id, method=cfg.method, cost_kind=cost,
-            seed=cfg.seed, config_hash=chash)
+    meta = (cfg.resolved_run_id(), cfg.method,
+            cfg.cost_kind if cfg.method == "autoscale" else "",
+            cfg.seed, cfg.semantic_hash())
+    # Row by row: whole-column .tolist() added ≈0.9 MB of peak RSS on mlp-k8.
+    for i, r in enumerate(run.records):
+        yield TraceLine(*meta, r.iteration, r.weights, run.losses[i].tolist(),
+                        run.grad_norms[i].tolist(), run.gram_upper[i].tolist(),
+                        r.gms_mean, r.gcs_mean, r.cond_number, r.ilr, r.ilr_std,
+                        r.ldr, r.rl, r.rl_std, r.degenerate_flags)
 
 
 def _float_repr(value) -> str:
@@ -413,11 +414,9 @@ def _smooth(series: list, window: int) -> list:
     if window <= 1:
         return series
     out = []
-    acc: list[float] = []
+    acc = deque(maxlen=window)
     for v in series:
         acc.append(v)
-        if len(acc) > window:
-            acc.pop(0)
         vals = [a for a in acc if a is not None]
         out.append(float(np.mean(vals)) if vals else None)
     return out

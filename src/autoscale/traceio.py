@@ -5,17 +5,17 @@ plus the full per-iteration observation: weights, raw losses, gradient norms,
 the Gram upper triangle (row-major), and every derived metric.  Numeric fields
 serialize with shortest-round-trip precision, so parse(serialize(line))
 reproduces the exact binary values and identical runs produce byte-identical
-files.  Parsing is strict: unknown fields are rejected and a truncated or
-malformed line reports what is missing.
+files.  ``TraceLine`` converts every value once, whether it comes from a run
+or from a file.  Parsing is strict: unknown fields and non-finite numbers
+are rejected, and a truncated or malformed line reports what is missing.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-from .core import MetricRecord
 
 #: Exact serialized field order.  Metadata first, then the per-iteration payload.
 TRACE_FIELDS = (
@@ -29,6 +29,8 @@ TRACE_FIELDS = (
 _FLOAT_TUPLES = ("weights", "losses", "grad_norms", "gram_upper", "ilr", "ldr", "rl")
 _OPTIONAL_FLOATS = ("gms_mean", "gcs_mean")
 _FLOATS = ("cond_number", "ilr_std", "rl_std")
+_NUMBER_TYPES = frozenset((int, float))
+_MAX_FLOAT = sys.float_info.max
 
 
 class TraceParseError(ValueError):
@@ -60,49 +62,24 @@ class TraceLine:
     degenerate_flags: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        # The one place a trace value is converted: numpy scalars from a run
+        # and JSON ints from a file both become plain floats here.
         for name in _FLOAT_TUPLES:
-            object.__setattr__(self, name,
-                               tuple(float(v) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        for name in _FLOATS:
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in _OPTIONAL_FLOATS:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
         object.__setattr__(self, "degenerate_flags",
-                           tuple(str(v) for v in self.degenerate_flags))
-
-
-def trace_line_from_record(record: MetricRecord,
-                           losses: Iterable[float],
-                           grad_norms: Iterable[float],
-                           gram_upper: Iterable[float],
-                           run_id: str, method: str, cost_kind: str,
-                           seed: int, config_hash: str) -> TraceLine:
-    """Attach run metadata and raw observations to a metric record."""
-    return TraceLine(
-        run_id=run_id, method=method, cost_kind=cost_kind, seed=seed,
-        config_hash=config_hash,
-        iter=record.iteration,
-        weights=record.weights,
-        losses=tuple(float(v) for v in losses),
-        grad_norms=tuple(float(v) for v in grad_norms),
-        gram_upper=tuple(float(v) for v in gram_upper),
-        gms_mean=record.gms_mean,
-        gcs_mean=record.gcs_mean,
-        cond_number=record.cond_number,
-        ilr=record.ilr,
-        ilr_std=record.ilr_std,
-        ldr=record.ldr,
-        rl=record.rl,
-        rl_std=record.rl_std,
-        degenerate_flags=record.degenerate_flags,
-    )
+                           tuple(map(str, self.degenerate_flags)))
 
 
 def serialize_trace_line(line: TraceLine) -> str:
     """Compact JSON with the fixed field order; floats round-trip exactly."""
-    payload = {}
-    for name in TRACE_FIELDS:
-        value = getattr(line, name)
-        if isinstance(value, tuple):
-            value = list(value)
-        payload[name] = value
-    return json.dumps(payload, separators=(",", ":"), allow_nan=False)
+    return json.dumps({name: getattr(line, name) for name in TRACE_FIELDS},
+                      separators=(",", ":"), allow_nan=False)
 
 
 def parse_trace_line(text: str, line_number: int | None = None) -> TraceLine:
@@ -124,38 +101,40 @@ def parse_trace_line(text: str, line_number: int | None = None) -> TraceLine:
     def fail(msg: str) -> TraceParseError:
         return TraceParseError(where + msg)
 
-    kwargs = {}
+    def check_finite(name: str, values) -> None:
+        # NaN, ±inf (json.loads reads 1e999 as inf) and ints past the double
+        # range fail; int/float comparisons are exact, and NaN compares false.
+        if not all(map(_MAX_FLOAT.__ge__, map(abs, values))):
+            raise fail(f"field {name!r} must be finite and within the double range")
+
+    # json.loads yields exact int/float/str/list/bool/None, so exact type
+    # tests suffice and keep bool (an int subclass) out.
     for name in ("run_id", "method", "cost_kind", "config_hash"):
-        v = payload[name]
-        if not isinstance(v, str):
+        if type(payload[name]) is not str:
             raise fail(f"field {name!r} must be a string")
-        kwargs[name] = v
     for name in ("seed", "iter"):
-        v = payload[name]
-        if not isinstance(v, int) or isinstance(v, bool):
+        if type(payload[name]) is not int:
             raise fail(f"field {name!r} must be an integer")
-        kwargs[name] = v
     for name in _FLOAT_TUPLES:
         v = payload[name]
-        if not isinstance(v, list) or not all(
-                isinstance(e, (int, float)) and not isinstance(e, bool) for e in v):
+        if type(v) is not list or not _NUMBER_TYPES.issuperset(map(type, v)):
             raise fail(f"field {name!r} must be an array of numbers")
-        kwargs[name] = tuple(float(e) for e in v)
+        check_finite(name, v)
     for name in _OPTIONAL_FLOATS:
         v = payload[name]
-        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
-            raise fail(f"field {name!r} must be a number or null")
-        kwargs[name] = None if v is None else float(v)
+        if v is not None:
+            if type(v) not in _NUMBER_TYPES:
+                raise fail(f"field {name!r} must be a number or null")
+            check_finite(name, (v,))
     for name in _FLOATS:
         v = payload[name]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if type(v) not in _NUMBER_TYPES:
             raise fail(f"field {name!r} must be a number")
-        kwargs[name] = float(v)
+        check_finite(name, (v,))
     flags = payload["degenerate_flags"]
-    if not isinstance(flags, list) or not all(isinstance(e, str) for e in flags):
+    if type(flags) is not list or not all(type(e) is str for e in flags):
         raise fail("field 'degenerate_flags' must be an array of strings")
-    kwargs["degenerate_flags"] = tuple(flags)
-    return TraceLine(**kwargs)
+    return TraceLine(**payload)
 
 
 def write_trace(path, lines: Iterable[TraceLine]) -> int:

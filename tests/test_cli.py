@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from autoscale import cli, read_trace
+from autoscale import TraceLine, cli, read_trace, write_trace
 from autoscale.cli import RunConfig, main
 
 
@@ -306,6 +306,48 @@ def test_analyze_corrupt_trace_names_the_line(tmp_path, capsys):
     rc = main(["analyze", "--traces", str(trace), "--out-dir", str(tmp_path / "x")])
     assert rc == 2
     assert "error: line 5:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, raw", [
+    ("cond_number", "NaN"),
+    ("ilr_std", "1e999"),
+    ("gram_upper", "[" + "9" * 400 + "]"),
+], ids=["nan", "inf", "huge-int"])
+def test_analyze_exits_2_on_a_number_no_double_holds(tmp_path, capsys, field, raw):
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", "--method", "unitary", *QUAD, "--total-iters", "5",
+                 "--trace", str(trace)]) == 0
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    lines[2] = re.sub(f'"{field}":(\\[[^]]*\\]|[^,]*)', f'"{field}":{raw}', lines[2])
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["analyze", "--traces", str(trace), "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"error: line 3: field '{field}' must be finite" in capsys.readouterr().err
+
+
+def test_analyze_smooth_is_a_trailing_mean(tmp_path):
+    gms = (0.5, None, None, None, 0.25, 0.75, 1.0)
+    lines = [TraceLine("s", "fixed", "", 0, "0" * 16, i, (1.0, 1.0), (1.0, 1.0),
+                       (1.0, 1.0), (1.0, 0.0, 1.0), g, None, i + 1.0, (1.0, 1.0),
+                       0.0, (1.0, 1.0), (0.5, 0.5), 0.0, ())
+             for i, g in enumerate(gms)]
+    trace = tmp_path / "s.jsonl"
+    write_trace(trace, lines)
+    assert main(["analyze", "--traces", str(trace), "--smooth", "3",
+                 "--out-dir", str(tmp_path / "an")]) == 0
+    # Trailing means over the last three iterations, skipping nulls; a
+    # window of nulls only stays null.
+    assert _read_csv(tmp_path / "an" / "s_trajectory.csv") == [
+        ["iter", "gms_mean", "gcs_mean", "cond_number", "ilr_std", "rl_std"],
+        ["0", "0.5", "", "1.0", "0.0", "0.0"],
+        ["1", "0.5", "", "1.5", "0.0", "0.0"],
+        ["2", "0.5", "", "2.0", "0.0", "0.0"],
+        ["3", "", "", "3.0", "0.0", "0.0"],
+        ["4", "0.25", "", "4.0", "0.0", "0.0"],
+        ["5", "0.5", "", "5.0", "0.0", "0.0"],
+        ["6", repr(2.0 / 3.0), "", "6.0", "0.0", "0.0"],
+    ]
 
 
 # ---------------------------------------------------------------------------

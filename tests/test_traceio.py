@@ -13,16 +13,13 @@ from autoscale import (
     parse_trace_line,
     read_trace,
     serialize_trace_line,
-    trace_line_from_record,
-    metric_record,
     write_trace,
 )
+from autoscale.cli import RunConfig, execute_run, trace_lines_for_run
 from autoscale.traceio import iter_trace
 
 from helpers import (
     bits_equal as _bits_equal,
-    grad_snap,
-    loss_snap,
     random_trace_line as _random_line,
     trace_lines_identical as _lines_identical,
 )
@@ -92,20 +89,41 @@ def test_field_order_is_fixed():
     assert tuple(pairs) == TRACE_FIELDS
 
 
-def test_trace_line_from_record_carries_everything():
-    g = grad_snap([[1.0, 0.0], [0.0, 2.0]], iteration=5)
-    l = loss_snap([1.0, 3.0], initial=[2.0, 4.0], prev=[2.0, 2.0], iteration=5)
-    rec = metric_record(g, l, np.array([1.0, 1.0]))
-    line = trace_line_from_record(
-        rec, losses=l.losses, grad_norms=g.norms,
-        gram_upper=g.gram[np.triu_indices(2)],
-        run_id="r", method="fixed", cost_kind="", seed=3, config_hash="0" * 16)
-    assert line.iter == 5
-    assert line.gms_mean == rec.gms_mean
-    assert line.weights == rec.weights
-    assert line.losses == (1.0, 3.0)
-    back = parse_trace_line(serialize_trace_line(line))
-    assert _lines_identical(line, back)
+def test_trace_lines_for_run_carry_everything():
+    cfg = RunConfig(method="unitary", problem="quadratic", k=2, dim=3,
+                    scales=(1.0, 2.0), total_iters=20, seed=3)
+    run = execute_run(cfg)["_run"]
+    lines = list(trace_lines_for_run(run, cfg))
+    assert len(lines) == len(run.records) == 20
+    for i, (line, rec) in enumerate(zip(lines, run.records)):
+        assert (line.run_id, line.method, line.cost_kind, line.seed, line.config_hash) == (
+            cfg.resolved_run_id(), "unitary", "", 3, cfg.semantic_hash())
+        assert line.iter == rec.iteration
+        for name in ("weights", "gms_mean", "gcs_mean", "cond_number", "ilr", "ilr_std",
+                     "ldr", "rl", "rl_std", "degenerate_flags"):
+            assert getattr(line, name) == getattr(rec, name), name
+        assert line.losses == tuple(run.losses[i])
+        assert line.grad_norms == tuple(run.grad_norms[i])
+        assert line.gram_upper == tuple(run.gram_upper[i])
+        assert all(type(v) is float for v in line.losses + line.gram_upper)
+        assert _lines_identical(line, parse_trace_line(serialize_trace_line(line)))
+
+
+def test_trace_line_normalizes_lists_and_ints():
+    line = _random_line(np.random.default_rng(7))
+    fields = {name: getattr(line, name) for name in TRACE_FIELDS}
+    as_lists = {name: list(v) if isinstance(v, tuple) else v for name, v in fields.items()}
+    assert TraceLine(**as_lists) == line
+
+    text = json.dumps(_payload(weights=[1, 2, 3], cond_number=2, gms_mean=0))
+    parsed = parse_trace_line(text)
+    assert parsed.weights == (1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in (*parsed.weights, parsed.cond_number,
+                                          parsed.gms_mean))
+    again = serialize_trace_line(parsed)
+    assert '"weights":[1.0,2.0,3.0]' in again
+    assert '"cond_number":2.0' in again
+    assert '"gms_mean":0.0' in again
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +180,19 @@ def test_parse_rejects_wrong_types():
         with pytest.raises(TraceParseError) as err:
             parse_trace_line(json.dumps(_payload(**overrides)))
         assert message in str(err.value)
+
+
+@pytest.mark.parametrize("field, raw", [
+    ("cond_number", "NaN"),
+    ("ilr_std", "1e999"),
+    ("losses", "[1.0, " + "9" * 400 + "]"),
+], ids=["nan", "inf", "huge-int"])
+def test_parse_rejects_numbers_no_double_holds(field, raw):
+    text = json.dumps(_payload(**{field: 0.0})).replace(
+        f'"{field}": 0.0', f'"{field}": {raw}')
+    with pytest.raises(TraceParseError,
+                       match=f"line 3: field '{field}' must be finite"):
+        parse_trace_line(text, line_number=3)
 
 
 def test_parse_accepts_null_means():
