@@ -3,11 +3,11 @@
 The feasible set is {w : sum(w) = K, w_i >= floor}.  Two solve paths:
 
 * :func:`solve_quadratic` — exact minimizer of w^T M w for the quadratic cost
-  kinds.  Solves the equality-constrained stationarity system in a sum-zero
-  basis, then pins floor-violating coordinates one at a time (most violated
-  first) and re-solves over the free coordinates.  A Hessian that is singular
-  on the feasible subspace yields the minimum-norm solution closest to the
-  uniform weight vector.
+  kinds.  A primal active-set method: each face (the free coordinates, with
+  the pinned ones at the floor) is solved in a sum-zero basis, a step toward
+  the face's minimizer stops where a free coordinate reaches the floor, and a
+  pin whose multiplier is negative is released.  A Hessian that is singular
+  on a face yields the minimum-norm solution closest to its center.
 * :func:`solve_general` — derivative-free descent for arbitrary window costs
   (the condition-number cost in particular).  Runs Nelder-Mead on an
   unconstrained reparameterization of the simplex (w = K * normalized
@@ -137,6 +137,9 @@ def solve_quadratic(m, floor: float = DEFAULT_WEIGHT_FLOOR) -> SolverReport:
     """Exact minimizer of w^T M w over the feasible weight set.
 
     ``m`` must be symmetric positive semidefinite (tolerance 1e-8 relative).
+    The result satisfies the optimality conditions: 2 M w is equal across
+    the free coordinates and at least that on the pinned ones.
+    ``iterations`` counts active-set rounds.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -152,16 +155,21 @@ def solve_quadratic(m, floor: float = DEFAULT_WEIGHT_FLOOR) -> SolverReport:
     if eigs[0] < -1e-8 * max(1.0, eigs[-1]):
         raise ValueError(f"M must be positive semidefinite, min eigenvalue {eigs[0]}")
 
+    # Primal active set from the uniform point w.  Each round steps toward
+    # the current face's minimizer, pinning the free coordinate that reaches
+    # the floor first (the ratio test); at a face minimizer a pin with a
+    # negative multiplier is released, and with none w is a global minimizer.
+    # The cap guards against cycling on degenerate ties (≤ 2K rounds seen).
     pinned = np.zeros(k, dtype=bool)
-    rounds = 0
-    while True:
-        rounds += 1
+    w = np.ones(k)
+    converged = True
+    for rounds in range(1, 10 * k + 1):
         free = np.flatnonzero(~pinned)
         n_free = free.size
         budget = k - floor * int(pinned.sum())
-        w = np.where(pinned, floor, 0.0)
+        target = np.where(pinned, floor, 0.0)
         if n_free == 1:
-            w[free[0]] = budget
+            target[free[0]] = budget
         else:
             # Center of the free face plus a sum-zero correction.
             center = np.full(n_free, budget / n_free)
@@ -176,15 +184,28 @@ def solve_quadratic(m, floor: float = DEFAULT_WEIGHT_FLOOR) -> SolverReport:
             # lstsq returns the minimum-norm y when h is singular, which keeps
             # the solution as close to the (uniform-share) center as possible.
             y, *_ = np.linalg.lstsq(h, -b, rcond=None)
-            w[free] = center + z @ y
-        if n_free == 1 or np.all(w[free] >= floor - 1e-12):
-            w_star = project_feasible(w, floor)
-            cost = float(w_star.w @ m @ w_star.w)
-            return SolverReport(w_star=w_star, cost_at_w_star=cost,
-                                iterations=rounds, converged=True,
-                                method=SolverMethod.CLOSED_FORM_QP)
-        worst = free[int(np.argmin(w[free]))]
-        pinned[worst] = True
+            target[free] = center + z @ y
+        blocking = free[target[free] < floor - 1e-12]
+        if blocking.size:
+            steps = (w[blocking] - floor) / (w[blocking] - target[blocking])
+            first = int(np.argmin(steps))
+            w = w + max(float(steps[first]), 0.0) * (target - w)
+            w[blocking[first]] = floor
+            pinned[blocking[first]] = True
+            continue
+        w = target
+        grad = m @ w
+        multipliers = grad[pinned] - grad[free].mean()
+        # Rounding in M w scales with the magnitude of its terms (w > 0).
+        if np.all(multipliers >= -1e-9 * float((np.abs(m) @ w).max())):
+            break
+        pinned[np.flatnonzero(pinned)[int(np.argmin(multipliers))]] = False
+    else:
+        converged = False
+    w_star = project_feasible(w, floor)
+    cost = float(w_star.w @ m @ w_star.w)
+    return SolverReport(w_star=w_star, cost_at_w_star=cost, iterations=rounds,
+                        converged=converged, method=SolverMethod.CLOSED_FORM_QP)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,16 @@ def test_solve_quadratic_singular_matrix_prefers_uniform():
     assert report.cost_at_w_star == pytest.approx(4.0, abs=1e-9)
 
 
+def test_solve_quadratic_releases_a_pin_on_a_rank_deficient_matrix():
+    # PSD of rank 2.  Pinning coordinates 0 and 2 at the floor is not optimal:
+    # the minimum shares the weight between coordinates 1 and 2.
+    m = np.array([[10.0, 3.0, -1.0], [3.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+    report = solve_quadratic(m)
+    assert report.converged
+    assert report.cost_at_w_star <= 4.5004
+    assert report.w_star.w == pytest.approx([1e-4, 1.49975, 1.50015], abs=1e-9)
+
+
 def test_solve_quadratic_input_validation():
     with pytest.raises(ValueError):
         solve_quadratic(np.ones((2, 3)))                       # not square

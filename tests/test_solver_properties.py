@@ -1,8 +1,9 @@
-"""Generated-input properties of the feasible projection (hypothesis)."""
+"""Generated-input properties of the feasible projection and the quadratic
+solve (hypothesis)."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from autoscale import DEFAULT_WEIGHT_FLOOR, project_feasible
+from autoscale import DEFAULT_WEIGHT_FLOOR, project_feasible, solve_quadratic
 from autoscale.solver import _project
 
 from helpers import clamp_and_redistribute
@@ -63,3 +64,32 @@ def test_projection_is_identity_on_feasible_input(shares):
     assert np.all(np.abs(p - w) <= gap)
     if gap == 0.0:
         assert p.tobytes() == w.tobytes()
+
+
+@st.composite
+def psd_matrices(draw):
+    """B^T B for a (rank x K) B with columns scaled over four decades, so
+    rank-deficient and badly scaled M are both common."""
+    k = draw(st.integers(2, 6))
+    rank = draw(st.integers(1, k))
+    rows = st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k)
+    b = np.array(draw(st.lists(rows, min_size=rank, max_size=rank)))
+    b = b * 10.0 ** np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)))
+    return b.T @ b
+
+
+@_SETTINGS
+@given(psd_matrices())
+def test_quadratic_solve_is_a_kkt_point(m):
+    """The gradient 2 M w is equal across free coordinates and at least that
+    value on pinned ones: the optimality condition of a convex QP."""
+    report = solve_quadratic(m)
+    w, floor, k = report.w_star.w, report.w_star.floor, m.shape[0]
+    assert report.converged
+    assert abs(float(w.sum()) - k) <= 1e-9 and np.all(w >= floor)
+    grad = 2.0 * m @ w
+    tol = 1e-7 * float((np.abs(m) @ w).max())
+    free = w > floor + 1e-12  # the final projection may lift a pin by an ulp
+    level = float(grad[free].mean())
+    assert np.all(np.abs(grad[free] - level) <= tol)
+    assert np.all(grad[~free] >= level - tol)
