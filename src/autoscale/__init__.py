@@ -8,7 +8,7 @@ costs are built from, synthetic multi-task problem families with known
 reference optima, evaluation utilities, and a trace/CSV command-line shell.
 """
 from .core import (
-    DEFAULT_WEIGHT_FLOOR,
+    WEIGHT_FLOOR,
     DegenerateInputError,
     DivergenceError,
     GradientSnapshot,
@@ -85,7 +85,7 @@ from .traceio import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_WEIGHT_FLOOR",
+    "WEIGHT_FLOOR",
     "DegenerateInputError",
     "DivergenceError",
     "GradientSnapshot",

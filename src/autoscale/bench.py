@@ -3,8 +3,8 @@
 Two closed families:
 
 * :class:`QuadraticFamily` — per-task losses s_k * 0.5 (theta-c_k)^T Q_k
-  (theta-c_k) + b_k.  Exact single-task optima (b_k) and a closed-form
-  weighted optimum make it the ground-truth testbed.
+  (theta-c_k) + b_k.  Exact single-task optima (b_k) make it the
+  ground-truth testbed.
 * :class:`MLPRegressionFamily` — a shared two-layer tanh trunk with per-task
   linear heads on synthetic regression data; exact reverse-mode gradients are
   implemented by hand.  Metrics look at trunk gradients only (the shared
@@ -38,6 +38,9 @@ STREAM_WEIGHT_SETS = 0x03
 STREAM_RLW = 0x04
 
 WEIGHT_SAMPLING_SCHEMES = ("dirichlet-uniform", "log-uniform-grid")
+
+#: The log-uniform scheme draws magnitude ratios in [1 / span, span].
+LOG_UNIFORM_SPAN = 10.0
 
 
 class MultiTaskProblem(Protocol):
@@ -153,14 +156,6 @@ class QuadraticFamily:
             centers, curvatures, scales = centers[rows], curvatures[rows], scales[rows]
         diffs = theta[None, :] - centers
         return scales[:, None] * np.einsum("kde,ke->kd", curvatures, diffs)
-
-    def weighted_optimum(self, weights) -> np.ndarray:
-        """Closed-form minimizer of sum_k w_k l_k (Pareto point of w)."""
-        w = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, float)
-        ws = w * self.scales
-        h = np.einsum("k,kde->de", ws, self.curvatures)
-        rhs = np.einsum("k,kde,ke->d", ws, self.curvatures, self.centers)
-        return np.linalg.solve(h, rhs)
 
 
 def _equiangular_directions(k: int, d: int, conflict_angle: float,
@@ -446,14 +441,13 @@ def run_stl_baselines(problem, total_iters: int) -> np.ndarray:
 
 
 def sample_weight_sets(n: int, k: int, seed: int = 0,
-                       scheme: str = "dirichlet-uniform",
-                       span: float = 10.0) -> list[WeightVector]:
+                       scheme: str = "dirichlet-uniform") -> list[WeightVector]:
     """N distinct feasible weight vectors under the named sampling scheme.
 
     ``dirichlet-uniform`` scatters uniformly over the weight simplex;
     ``log-uniform-grid`` covers magnitude ratios evenly in log space (for two
     tasks this is a deterministic symmetric ladder around (1, 1) spanning
-    ratios 1/span .. span).
+    ratios 1/LOG_UNIFORM_SPAN .. LOG_UNIFORM_SPAN).
     """
     if n < 1:
         raise ValueError("need n >= 1 weight sets")
@@ -467,7 +461,7 @@ def sample_weight_sets(n: int, k: int, seed: int = 0,
         if n == 1:
             ratios = np.array([1.0])
         else:
-            ratios = np.logspace(-math.log10(span), math.log10(span), n)
+            ratios = LOG_UNIFORM_SPAN ** np.linspace(-1.0, 1.0, n)
         for r in ratios:
             wv = make_weight_vector(np.array([r, 1.0]))
             key = wv.as_tuple()
@@ -486,7 +480,8 @@ def sample_weight_sets(n: int, k: int, seed: int = 0,
         if scheme == "dirichlet-uniform":
             raw = rng.dirichlet(np.ones(k)) * k
         else:
-            raw = np.exp(rng.uniform(-math.log(span), math.log(span), size=k))
+            top = math.log(LOG_UNIFORM_SPAN)
+            raw = np.exp(rng.uniform(-top, top, size=k))
         wv = make_weight_vector(raw)
         key = wv.as_tuple()
         if key not in seen:

@@ -19,7 +19,7 @@ import numpy as np
 
 #: Smallest admissible task weight.  Keeps every task marginally active and
 #: every weighted Gram matrix away from exact rank collapse.
-DEFAULT_WEIGHT_FLOOR = 1e-4
+WEIGHT_FLOOR = 1e-4
 
 #: Absolute tolerance on the sum-to-K constraint of a weight vector.
 WEIGHT_SUM_TOL = 1e-8
@@ -42,9 +42,9 @@ class DivergenceError(ValueError):
     the iteration, the last finite task losses and the weights in effect."""
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    """Copy ``values`` into a read-only ndarray (defensive immutability)."""
-    arr = np.array(values, dtype=dtype, copy=True)
+def _frozen_array(values) -> np.ndarray:
+    """Copy ``values`` into a read-only float ndarray (defensive immutability)."""
+    arr = np.array(values, dtype=float, copy=True)
     arr.setflags(write=False)
     return arr
 
@@ -72,7 +72,7 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """A feasible task-weight vector: w_i >= floor and sum(w) == K.
+    """A feasible task-weight vector: w_i >= WEIGHT_FLOOR and sum(w) == K.
 
     Construct through :func:`make_weight_vector` (projects arbitrary raw
     values) or :func:`autoscale.solver.project_feasible`; direct construction
@@ -80,7 +80,6 @@ class WeightVector:
     """
 
     w: np.ndarray
-    floor: float = DEFAULT_WEIGHT_FLOOR
 
     def __post_init__(self) -> None:
         arr = _frozen_array(self.w)
@@ -92,11 +91,9 @@ class WeightVector:
             raise ValueError(f"weight vector needs at least 2 tasks, got {k}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("weight vector entries must be finite")
-        if not (0.0 < self.floor < 1.0):
-            raise ValueError(f"weight floor must lie in (0, 1), got {self.floor}")
-        if np.any(arr < self.floor):
+        if np.any(arr < WEIGHT_FLOOR):
             raise ValueError(
-                f"weight entries must be >= floor {self.floor}: {arr.tolist()}")
+                f"weight entries must be >= floor {WEIGHT_FLOOR}: {arr.tolist()}")
         if abs(float(arr.sum()) - k) > WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights must sum to K={k} within {WEIGHT_SUM_TOL}, "
@@ -114,12 +111,12 @@ class WeightVector:
         return f"WeightVector([{body}])"
 
 
-def make_weight_vector(raw, floor: float = DEFAULT_WEIGHT_FLOOR) -> WeightVector:
+def make_weight_vector(raw) -> WeightVector:
     """Project raw nonnegative values onto the feasible weight set.
 
     Computes the fixed point of clamp-below-floor followed by rescale-to-sum-K:
     coordinates that cannot stay above the floor after rescaling are pinned at
-    exactly ``floor`` and the remaining budget ``K - floor * #pinned`` is
+    exactly the floor and the remaining budget ``K - floor * #pinned`` is
     distributed over the free coordinates proportionally to their raw values.
     Idempotent on its own output.
 
@@ -141,19 +138,19 @@ def make_weight_vector(raw, floor: float = DEFAULT_WEIGHT_FLOOR) -> WeightVector
     pinned = np.zeros(k, dtype=bool)
     for _ in range(k):
         free = ~pinned
-        budget = k - floor * int(pinned.sum())
+        budget = k - WEIGHT_FLOOR * int(pinned.sum())
         scale = budget / float(work[free].sum())
-        scaled = np.where(pinned, floor, work * scale)
-        violating = free & (scaled < floor)
+        scaled = np.where(pinned, WEIGHT_FLOOR, work * scale)
+        violating = free & (scaled < WEIGHT_FLOOR)
         if not violating.any():
-            return WeightVector(scaled, floor)
+            return WeightVector(scaled)
         pinned |= violating
     raise AssertionError("floor projection failed to settle")  # pragma: no cover
 
 
-def uniform_weights(k: int, floor: float = DEFAULT_WEIGHT_FLOOR) -> WeightVector:
+def uniform_weights(k: int) -> WeightVector:
     """The all-ones weight vector (unitary scalarization)."""
-    return WeightVector(np.ones(k), floor)
+    return WeightVector(np.ones(k))
 
 
 # ---------------------------------------------------------------------------

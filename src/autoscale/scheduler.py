@@ -64,7 +64,6 @@ class AutoScaleConfig:
     cost_kind: CostKind = CostKind.EQUAL_GRAD_NORM
     seed: int = 0
     snapshot_stride: int = 1
-    solver_budget: int = 4000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cost_kind", CostKind.parse(self.cost_kind))
@@ -140,7 +139,7 @@ def aggregate_final_weight(window_weights: Sequence[WeightVector],
             f"{len(window_weights)} window weights")
     tail = window_weights[-aggregation_size:]
     mean = np.mean([wv.w for wv in tail], axis=0)
-    return project_feasible(mean, tail[-1].floor)
+    return project_feasible(mean)
 
 
 class _Descent:
@@ -261,7 +260,6 @@ def run_autoscale(problem, config: AutoScaleConfig) -> TrainingRun:
             report = solve_general(
                 lambda wv: window_cost(config.cost_kind, wv, window),
                 w_init=current,
-                budget=config.solver_budget,
                 seed=int(child.generate_state(1, dtype=np.uint64)[0]),
             )
         reports.append(report)

@@ -1,6 +1,6 @@
 """Constrained minimizers over the feasible weight set.
 
-The feasible set is {w : sum(w) = K, w_i >= floor}.  Two solve paths:
+The feasible set is {w : sum(w) = K, w_i >= WEIGHT_FLOOR}.  Two solve paths:
 
 * :func:`solve_quadratic` — exact minimizer of w^T M w for the quadratic cost
   kinds.  A primal active-set method: each face (the free coordinates, with
@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_WEIGHT_FLOOR,
+    WEIGHT_FLOOR,
     WEIGHT_SUM_TOL,
     DegenerateInputError,
     WeightVector,
@@ -52,6 +52,9 @@ TIE_TOL = 1e-10
 #: Convergence threshold: a full search round must improve the incumbent by
 #: at least this much to count as progress.
 IMPROVEMENT_TOL = 1e-8
+
+#: Seeded perturbed starts of the simplex search, besides the initial point.
+_RESTARTS = 4
 
 
 class SolverMethod(enum.Enum):
@@ -70,8 +73,8 @@ class SolverReport:
     method: SolverMethod
 
 
-def project_feasible(raw, floor: float = DEFAULT_WEIGHT_FLOOR) -> WeightVector:
-    """Euclidean projection onto {sum(w) = K, w_i >= floor}.
+def project_feasible(raw) -> WeightVector:
+    """Euclidean projection onto {sum(w) = K, w_i >= WEIGHT_FLOOR}.
 
     Clamp-and-redistribute: shift all free coordinates by a common amount to
     restore the sum, pin coordinates that fall below the floor, repeat.  The
@@ -86,10 +89,10 @@ def project_feasible(raw, floor: float = DEFAULT_WEIGHT_FLOOR) -> WeightVector:
         raise ValueError(f"need at least 2 tasks, got {k}")
     if not np.all(np.isfinite(v)):
         raise ValueError("raw weights must be finite")
-    return WeightVector(_project(v, floor), floor)
+    return WeightVector(_project(v))
 
 
-def _project(v: np.ndarray, floor: float) -> np.ndarray:
+def _project(v: np.ndarray) -> np.ndarray:
     """Array core of :func:`project_feasible` for a (K,) float array, K >= 2.
 
     The first round of clamp-and-redistribute is the whole projection when
@@ -100,26 +103,25 @@ def _project(v: np.ndarray, floor: float) -> np.ndarray:
     k = v.size
     w = v + (k - np.add.reduce(v)) / k
     lowest = np.minimum.reduce(w)
-    if not lowest >= floor:  # a pin is needed, or v is not finite
+    if not lowest >= WEIGHT_FLOOR:  # a pin is needed, or v is not finite
         if not np.all(np.isfinite(v)):
             raise ValueError("raw weights must be finite")
         pinned = np.zeros(k, dtype=bool)
         for _ in range(k):
             free = ~pinned
             n_free = int(free.sum())
-            budget = k - floor * int(pinned.sum())
+            budget = k - WEIGHT_FLOOR * int(pinned.sum())
             shift = (budget - float(v[free].sum())) / n_free
-            w = np.where(pinned, floor, v + shift)
-            violating = free & (w < floor)
+            w = np.where(pinned, WEIGHT_FLOOR, v + shift)
+            violating = free & (w < WEIGHT_FLOOR)
             if not violating.any():
                 break
             pinned |= violating
         else:  # pragma: no cover
             raise AssertionError("feasible projection failed to settle")
         lowest = np.minimum.reduce(w)
-    if not (0.0 < floor < 1.0 and lowest >= floor
-            and abs(float(np.add.reduce(w)) - k) <= WEIGHT_SUM_TOL):
-        WeightVector(w, floor)  # raises the message of the failed invariant
+    if not (lowest >= WEIGHT_FLOOR and abs(float(np.add.reduce(w)) - k) <= WEIGHT_SUM_TOL):
+        WeightVector(w)  # raises the message of the failed invariant
     return w
 
 
@@ -133,7 +135,7 @@ def _sum_zero_basis(n: int) -> np.ndarray:
     return z
 
 
-def solve_quadratic(m, floor: float = DEFAULT_WEIGHT_FLOOR) -> SolverReport:
+def solve_quadratic(m) -> SolverReport:
     """Exact minimizer of w^T M w over the feasible weight set.
 
     ``m`` must be symmetric positive semidefinite (tolerance 1e-8 relative).
@@ -166,8 +168,8 @@ def solve_quadratic(m, floor: float = DEFAULT_WEIGHT_FLOOR) -> SolverReport:
     for rounds in range(1, 10 * k + 1):
         free = np.flatnonzero(~pinned)
         n_free = free.size
-        budget = k - floor * int(pinned.sum())
-        target = np.where(pinned, floor, 0.0)
+        budget = k - WEIGHT_FLOOR * int(pinned.sum())
+        target = np.where(pinned, WEIGHT_FLOOR, 0.0)
         if n_free == 1:
             target[free[0]] = budget
         else:
@@ -178,19 +180,19 @@ def solve_quadratic(m, floor: float = DEFAULT_WEIGHT_FLOOR) -> SolverReport:
             grad_const = m_ff @ center
             if pinned.any():
                 grad_const = grad_const + m[np.ix_(free, np.flatnonzero(pinned))] @ \
-                    np.full(int(pinned.sum()), floor)
+                    np.full(int(pinned.sum()), WEIGHT_FLOOR)
             h = z.T @ m_ff @ z
             b = z.T @ grad_const
             # lstsq returns the minimum-norm y when h is singular, which keeps
             # the solution as close to the (uniform-share) center as possible.
             y, *_ = np.linalg.lstsq(h, -b, rcond=None)
             target[free] = center + z @ y
-        blocking = free[target[free] < floor - 1e-12]
+        blocking = free[target[free] < WEIGHT_FLOOR - 1e-12]
         if blocking.size:
-            steps = (w[blocking] - floor) / (w[blocking] - target[blocking])
+            steps = (w[blocking] - WEIGHT_FLOOR) / (w[blocking] - target[blocking])
             first = int(np.argmin(steps))
             w = w + max(float(steps[first]), 0.0) * (target - w)
-            w[blocking[first]] = floor
+            w[blocking[first]] = WEIGHT_FLOOR
             pinned[blocking[first]] = True
             continue
         w = target
@@ -202,7 +204,7 @@ def solve_quadratic(m, floor: float = DEFAULT_WEIGHT_FLOOR) -> SolverReport:
         pinned[np.flatnonzero(pinned)[int(np.argmin(multipliers))]] = False
     else:
         converged = False
-    w_star = project_feasible(w, floor)
+    w_star = project_feasible(w)
     cost = float(w_star.w @ m @ w_star.w)
     return SolverReport(w_star=w_star, cost_at_w_star=cost, iterations=rounds,
                         converged=converged, method=SolverMethod.CLOSED_FORM_QP)
@@ -212,13 +214,13 @@ def solve_quadratic(m, floor: float = DEFAULT_WEIGHT_FLOOR) -> SolverReport:
 # derivative-free path
 # ---------------------------------------------------------------------------
 
-def _weights_from_logits(z: np.ndarray, k: int, floor: float) -> np.ndarray:
+def _weights_from_logits(z: np.ndarray, k: int) -> np.ndarray:
     """Map an unconstrained (K-1)-vector to feasible (K,) weights."""
     full = np.zeros(k)
     full[:-1] = z
     full -= np.maximum.reduce(full)
     e = np.exp(full)
-    return _project(k * e / np.add.reduce(e), floor)
+    return _project(k * e / np.add.reduce(e))
 
 
 def _logits_from_weights(w: np.ndarray) -> np.ndarray:
@@ -228,14 +230,12 @@ def _logits_from_weights(w: np.ndarray) -> np.ndarray:
 
 def solve_general(cost: Callable[[np.ndarray], float],
                   w_init: WeightVector,
-                  floor: float | None = None,
                   budget: int = 4000,
-                  restarts: int = 4,
                   seed: int = 0) -> SolverReport:
     """Derivative-free minimization of an arbitrary window cost.
 
     Nelder-Mead over the sum-to-K simplex via the normalized-exponential
-    reparameterization, started from ``w_init`` and from ``restarts`` seeded
+    reparameterization, started from ``w_init`` and from ``_RESTARTS`` seeded
     perturbations of it.  Each start is polished by re-running the descent
     from its incumbent with a shrinking initial simplex until one full search
     round improves the incumbent by less than 1e-8 (a single descent can stall
@@ -249,8 +249,6 @@ def solve_general(cost: Callable[[np.ndarray], float],
     ``DegenerateInputError`` counts as +inf.  Only the returned ``w_star``
     is a ``WeightVector``: ``w_init`` itself when no candidate beats it.
     """
-    if floor is None:
-        floor = w_init.floor
     k = w_init.k
     n = k - 1
     evals = 0
@@ -265,7 +263,7 @@ def solve_general(cost: Callable[[np.ndarray], float],
             return float("inf")
 
     def f(z: np.ndarray) -> tuple[float, np.ndarray]:
-        w = _weights_from_logits(z, k, floor)
+        w = _weights_from_logits(z, k)
         return run_cost(w), w
 
     init_cost = run_cost(w_init.w)
@@ -274,7 +272,7 @@ def solve_general(cost: Callable[[np.ndarray], float],
     z_init = _logits_from_weights(w_init.w)
     starts = [z_init]
     rng = spawn_rng(seed, 0xD1CE)
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         starts.append(z_init + rng.normal(0.0, 0.75, size=n))
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
@@ -357,7 +355,7 @@ def solve_general(cost: Callable[[np.ndarray], float],
     ones = np.ones(k)
     tied.sort(key=lambda cw: (float(np.linalg.norm(cw[1] - ones)), cw[0]))
     final_cost, final_w = tied[0]
-    w_star = w_init if final_w is w_init.w else WeightVector(final_w, floor)
+    w_star = w_init if final_w is w_init.w else WeightVector(final_w)
 
     return SolverReport(w_star=w_star, cost_at_w_star=final_cost,
                         iterations=evals, converged=not budget_hit,

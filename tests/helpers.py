@@ -3,7 +3,8 @@
 The oracles compute slowly and literally what the library computes in
 stacked form: window costs one iteration at a time, metric records one task
 pair at a time, gradients by central differences, single-task baselines from
-the full gradient matrix.
+the full gradient matrix; plus the closed-form weighted optimum of a quadratic
+family, which fixed-weight training must reach.
 """
 import math
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ import numpy as np
 
 from autoscale import (
     TRACE_FIELDS,
+    WEIGHT_FLOOR,
     CostKind,
     DegenerateInputError,
     LossSnapshot,
@@ -207,9 +209,10 @@ def build_pair_matrix(magnitudes):
     return PairDifferenceMatrix(matrix=matrix, pairs=tuple(pairs))
 
 
-def clamp_and_redistribute(raw, floor):
+def clamp_and_redistribute(raw):
     """The feasible projection as a loop from its first round: shift the free
     coordinates to restore the sum K, pin those below the floor, repeat."""
+    floor = WEIGHT_FLOOR
     v = np.asarray(raw, dtype=float)
     k = v.size
     pinned = np.zeros(k, dtype=bool)
@@ -221,7 +224,7 @@ def clamp_and_redistribute(raw, floor):
         candidate = np.where(pinned, floor, v + shift)
         violating = free & (candidate < floor)
         if not violating.any():
-            return WeightVector(candidate, floor).w
+            return WeightVector(candidate).w
         pinned |= violating
     raise AssertionError("feasible projection failed to settle")
 
@@ -354,3 +357,12 @@ def oracle_stl_baselines(problem, total_iters: int) -> np.ndarray:
             theta = theta - h * np.asarray(problem.task_gradients(theta))[task]
         best[task] = min(best[task], float(problem.task_losses(theta)[task]))
     return best
+
+
+def weighted_optimum(problem, weights) -> np.ndarray:
+    """Closed-form minimizer of sum_k w_k l_k of a ``QuadraticFamily``: the
+    point fixed-weight descent converges to (the Pareto point of w)."""
+    ws = weights.w * problem.scales
+    h = np.einsum("k,kde->de", ws, problem.curvatures)
+    rhs = np.einsum("k,kde,ke->d", ws, problem.curvatures, problem.centers)
+    return np.linalg.solve(h, rhs)

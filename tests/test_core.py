@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from autoscale import (
-    DEFAULT_WEIGHT_FLOOR,
+    WEIGHT_FLOOR,
     GradientSnapshot,
     LossSnapshot,
     MetricRecord,
@@ -16,9 +16,6 @@ from autoscale import (
 )
 
 from helpers import grad_snap, loss_snap, window
-
-FLOOR = DEFAULT_WEIGHT_FLOOR
-
 
 # ---------------------------------------------------------------------------
 # make_weight_vector / WeightVector
@@ -39,8 +36,8 @@ def test_make_weight_vector_floor_fixed_point():
     # [0, 1]: the zero coordinate pins at the floor and the free coordinate
     # absorbs the remaining budget K - floor.
     wv = make_weight_vector([0.0, 1.0])
-    assert wv.w[0] == FLOOR
-    assert wv.w[1] == pytest.approx(2.0 - FLOOR, abs=1e-15)
+    assert wv.w[0] == WEIGHT_FLOOR
+    assert wv.w[1] == pytest.approx(2.0 - WEIGHT_FLOOR, abs=1e-15)
     assert float(wv.w.sum()) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -75,8 +72,6 @@ def test_weight_vector_validates_directly():
         WeightVector(np.array([0.0, 2.0]))           # below floor
     with pytest.raises(ValueError):
         WeightVector(np.array([1.0, 1.1]))           # sum != K
-    with pytest.raises(ValueError):
-        WeightVector(np.array([1.0, 1.0]), floor=1.5)
     with pytest.raises(ValueError):
         WeightVector(np.array([2.0]))                # K < 2
 

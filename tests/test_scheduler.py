@@ -204,7 +204,7 @@ def test_descent_window_equals_the_snapshot_pair_window(stride):
 @pytest.mark.parametrize("kind", ["equal-grad-norm", "equal-loss", "low-cond"])
 def test_each_window_solve_never_regresses(kind):
     problem = _small_problem()
-    cfg = _phase_config(cost_kind=kind, solver_budget=600)
+    cfg = _phase_config(cost_kind=kind)
     run = run_autoscale(problem, cfg)
     tau = cfg.window_size
     incumbent = uniform_weights(2)
@@ -218,7 +218,7 @@ def test_each_window_solve_never_regresses(kind):
 
 def test_low_cond_uses_simplex_search():
     problem = _small_problem()
-    cfg = _phase_config(cost_kind="low-cond", solver_budget=600)
+    cfg = _phase_config(cost_kind="low-cond")
     run = run_autoscale(problem, cfg)
     assert all(r.method is SolverMethod.SIMPLEX_SEARCH for r in run.solver_reports)
 
@@ -244,7 +244,7 @@ def test_zero_exploration_equals_unitary_run():
 
 def test_runs_are_deterministic():
     problem = _small_problem()
-    cfg = _phase_config(cost_kind="low-cond", solver_budget=400)
+    cfg = _phase_config(cost_kind="low-cond")
     a = run_autoscale(problem, cfg)
     b = run_autoscale(problem, cfg)
     assert np.array_equal(a.theta_final, b.theta_final)
@@ -256,7 +256,7 @@ def test_runs_are_deterministic():
 def test_recording_block_size_leaves_runs_unchanged(monkeypatch, block):
     # 20-iteration windows at stride 3: blocks of 7 split each window in three
     problem = _small_problem(3)
-    cfg = _phase_config(cost_kind="low-cond", snapshot_stride=3, solver_budget=300)
+    cfg = _phase_config(cost_kind="low-cond", snapshot_stride=3)
     want = run_autoscale(problem, cfg)
     monkeypatch.setattr(scheduler, "_RECORD_BLOCK", block)
     got = run_autoscale(problem, cfg)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from autoscale import (
+    WEIGHT_FLOOR,
     SolverMethod,
     make_weight_vector,
     project_feasible,
@@ -28,11 +29,11 @@ def _norm_window(norms):
 def test_project_feasible_examples():
     assert project_feasible([1.0, 1.0]).as_tuple() == (1.0, 1.0)
     w = project_feasible([3.0, -1.0])
-    assert w.w[1] == w.floor
-    assert w.w[0] == pytest.approx(2.0 - w.floor, abs=1e-15)
+    assert w.w[1] == WEIGHT_FLOOR
+    assert w.w[0] == pytest.approx(2.0 - WEIGHT_FLOOR, abs=1e-15)
     w = project_feasible([0.0, 0.0, 6.0])
-    assert w.w[0] == w.floor and w.w[1] == w.floor
-    assert w.w[2] == pytest.approx(3.0 - 2 * w.floor, abs=1e-14)
+    assert w.w[0] == WEIGHT_FLOOR and w.w[1] == WEIGHT_FLOOR
+    assert w.w[2] == pytest.approx(3.0 - 2 * WEIGHT_FLOOR, abs=1e-14)
     assert float(w.w.sum()) == pytest.approx(3.0, abs=1e-12)
 
 
@@ -41,13 +42,12 @@ def test_project_feasible_is_nearest_feasible_point():
     rng = np.random.default_rng(21)
     grid = simplex_grid(3, step=0.05)
     # push grid points off the boundary so every candidate is feasible
-    floor = project_feasible([1.0, 1.0, 1.0]).floor
     feasible = np.stack([project_feasible(row).w for row in grid])
     for _ in range(25):
         raw = rng.uniform(-1.0, 3.0, size=3)
         p = project_feasible(raw)
         assert float(p.w.sum()) == pytest.approx(3.0, abs=1e-10)
-        assert np.all(p.w >= floor - 1e-15)
+        assert np.all(p.w >= WEIGHT_FLOOR - 1e-15)
         d_proj = float(np.sum((p.w - raw) ** 2))
         d_grid = float(np.sum((feasible - raw) ** 2, axis=1).min())
         assert d_proj <= d_grid + 1e-12
@@ -89,7 +89,7 @@ def test_solve_quadratic_stationarity_certificate():
         w = report.w_star.w
         assert float(w.sum()) == pytest.approx(k, abs=1e-9)
         grad = 2.0 * m @ w
-        interior = w > report.w_star.floor * (1 + 1e-6)
+        interior = w > WEIGHT_FLOOR * (1 + 1e-6)
         if interior.all():
             spread = float(grad.max() - grad.min())
             assert spread <= 1e-6 * max(1.0, float(np.abs(grad).max()))
@@ -106,7 +106,7 @@ def test_solve_quadratic_pins_at_floor():
     # extreme magnitude ratio drives one weight to the boundary
     m = quadratic_form("equal-grad-norm", _norm_window([1000.0, 0.001]))
     report = solve_quadratic(m)
-    floor = report.w_star.floor
+    floor = WEIGHT_FLOOR
     assert report.w_star.w[0] == pytest.approx(floor, abs=0)
     assert report.w_star.w[1] == pytest.approx(2.0 - floor, abs=1e-9)
     # the pinned point is the constrained optimum: nudging mass back to the

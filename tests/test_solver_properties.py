@@ -3,7 +3,7 @@ solve (hypothesis)."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from autoscale import DEFAULT_WEIGHT_FLOOR, project_feasible, solve_quadratic
+from autoscale import WEIGHT_FLOOR, project_feasible, solve_quadratic
 from autoscale.solver import _project
 
 from helpers import clamp_and_redistribute
@@ -32,8 +32,7 @@ softmax_vectors = st.lists(st.floats(-15.0, 15.0), min_size=2, max_size=8).map(_
 @_SETTINGS
 @given(st.one_of(raw_vectors, softmax_vectors))
 def test_project_equals_the_full_loop_bitwise(v):
-    assert _project(v, DEFAULT_WEIGHT_FLOOR).tobytes() == \
-        clamp_and_redistribute(v, DEFAULT_WEIGHT_FLOOR).tobytes()
+    assert _project(v).tobytes() == clamp_and_redistribute(v).tobytes()
 
 
 @_SETTINGS
@@ -41,7 +40,7 @@ def test_project_equals_the_full_loop_bitwise(v):
 def test_projection_satisfies_kkt(v):
     """w = v + tau + mu with mu >= 0 and mu_i > 0 only where w_i = floor."""
     wv = project_feasible(v)
-    w, floor, k = wv.w, wv.floor, v.size
+    w, floor, k = wv.w, WEIGHT_FLOOR, v.size
     assert abs(float(w.sum()) - k) <= 1e-9
     assert np.all(w >= floor)
     free = w > floor
@@ -57,7 +56,7 @@ def test_projection_satisfies_kkt(v):
 def test_projection_is_identity_on_feasible_input(shares):
     k = len(shares)
     s = np.array(shares) + 1e-3
-    w = DEFAULT_WEIGHT_FLOOR + (k - k * DEFAULT_WEIGHT_FLOOR) * s / s.sum()
+    w = WEIGHT_FLOOR + (k - k * WEIGHT_FLOOR) * s / s.sum()
     p = project_feasible(w).w
     # Only the rounding of sum(w) away from K moves it, by (K - sum) / K.
     gap = abs(k - float(w.sum()))
@@ -84,7 +83,7 @@ def test_quadratic_solve_is_a_kkt_point(m):
     """The gradient 2 M w is equal across free coordinates and at least that
     value on pinned ones: the optimality condition of a convex QP."""
     report = solve_quadratic(m)
-    w, floor, k = report.w_star.w, report.w_star.floor, m.shape[0]
+    w, floor, k = report.w_star.w, WEIGHT_FLOOR, m.shape[0]
     assert report.converged
     assert abs(float(w.sum()) - k) <= 1e-9 and np.all(w >= floor)
     grad = 2.0 * m @ w
