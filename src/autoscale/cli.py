@@ -181,8 +181,8 @@ def _run_mean_metrics(rows) -> dict:
     }
 
 
-def execute_run(cfg: RunConfig) -> dict:
-    """Run one experiment; returns a summary dict (with the run attached)."""
+def execute_run(cfg: RunConfig) -> tuple[dict, TrainingRun | None]:
+    """Run one experiment; returns its summary and its run (None for ``stl``)."""
     problem = build_problem(cfg)
     k = problem.num_tasks
     run: TrainingRun | None = None
@@ -235,8 +235,7 @@ def execute_run(cfg: RunConfig) -> dict:
                                 else [float(v) for v in final_weight.w])
     if run is not None:
         summary.update(_run_mean_metrics(run.records))
-    summary["_run"] = run
-    return summary
+    return summary, run
 
 
 def trace_lines_for_run(run: TrainingRun, cfg: RunConfig):
@@ -251,20 +250,12 @@ def trace_lines_for_run(run: TrainingRun, cfg: RunConfig):
                         r.ldr, r.rl, r.rl_std, r.degenerate_flags)
 
 
-def _float_repr(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, header: Sequence[str], rows) -> None:
+    """``csv`` writes None as an empty field and a float as its repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_float_repr(v) for v in row])
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +322,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    summary = execute_run(cfg)
-    run = summary.pop("_run")
+    summary, run = execute_run(cfg)
     if args.trace and run is not None:
         n = write_trace(args.trace, trace_lines_for_run(run, cfg))
         print(f"trace: {args.trace} ({n} lines)")
@@ -361,8 +351,7 @@ def _sweep_member(payload: tuple) -> dict:
     member["weights"] = list(weights)
     member["run_id"] = f"sweep-{index:03d}"
     cfg = RunConfig.from_dict(member)
-    summary = execute_run(cfg)
-    run = summary.pop("_run")
+    summary, run = execute_run(cfg)
     if trace_dir:
         path = os.path.join(trace_dir, f"{cfg.resolved_run_id()}.jsonl")
         write_trace(path, trace_lines_for_run(run, cfg))

@@ -363,7 +363,7 @@ def test_criterion_10_reproducible_io(report, tmp_path):
                     run_id="repro")
     paths = []
     for name in ("first.jsonl", "second.jsonl"):
-        run = execute_run(cfg)["_run"]
+        _, run = execute_run(cfg)
         path = tmp_path / name
         a.write_trace(path, trace_lines_for_run(run, cfg))
         paths.append(path)

@@ -92,7 +92,7 @@ def test_field_order_is_fixed():
 def test_trace_lines_for_run_carry_everything():
     cfg = RunConfig(method="unitary", problem="quadratic", k=2, dim=3,
                     scales=(1.0, 2.0), total_iters=20, seed=3)
-    run = execute_run(cfg)["_run"]
+    _, run = execute_run(cfg)
     lines = list(trace_lines_for_run(run, cfg))
     assert len(lines) == len(run.records) == 20
     for i, (line, rec) in enumerate(zip(lines, run.records)):
