@@ -61,6 +61,13 @@ PROBLEMS = ("quadratic", "mlp", "reference")
 #: Run-mean metric columns shared by summaries, aggregates and correlations.
 SUMMARY_METRICS = ("mean_gms", "mean_gcs", "mean_cond", "mean_ilr_std", "mean_rl_std")
 
+_LIST_KEYS = ("weights", "scales", "offsets")
+
+
+def _finite(values) -> bool:
+    """Whether all ``values`` are numbers that finite doubles hold."""
+    return all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for v in values)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -105,7 +112,12 @@ class RunConfig:
             raise ValueError("total_iters must be >= 1")
         if self.method == "fixed" and self.weights is None:
             raise ValueError("method 'fixed' needs explicit weights")
-        for name in ("weights", "scales", "offsets"):
+        for name in ("exploration_ratio", "conflict_angle_deg", "step_size", "noise",
+                     *_LIST_KEYS):
+            value = getattr(self, name)
+            if value is not None and not _finite(value if name in _LIST_KEYS else (value,)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in _LIST_KEYS:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, tuple(float(v) for v in value))
@@ -268,9 +280,6 @@ def _load_config_file(path) -> dict:
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     return data
-
-
-_LIST_KEYS = ("weights", "scales", "offsets")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -473,6 +482,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _score_array(values, where: str, n: int | None, kind: str = "finite numbers") -> list:
+    """A score-file array of ``n`` entries (any count when None): JSON
+    booleans, or numbers (not booleans) that finite doubles hold."""
+    types = (bool,) if kind == "booleans" else (int, float)
+    if (type(values) is not list or n not in (None, len(values))
+            or not all(type(v) in types for v in values) or not _finite(values)):
+        per = "" if n is None else f", one per baseline ({n})"
+        raise ValueError(f"score file {where} must be an array of {kind}{per}")
+    return values
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     with open(args.scores, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -480,19 +500,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if key not in data:
             print(f"eval: score file missing key {key!r}", file=sys.stderr)
             return 1
-    baselines = [float(b) for b in data["baselines"]]
-    orient = [bool(b) for b in data["higher_is_better"]]
     methods = data["methods"]
     if not isinstance(methods, dict) or not methods:
         print("eval: 'methods' must be a non-empty object", file=sys.stderr)
         return 1
+    baselines = _score_array(data["baselines"], "'baselines'", None)
+    n = len(baselines)
+    orient = _score_array(data["higher_is_better"], "'higher_is_better'", n, "booleans")
     names = list(methods.keys())
-    table = np.array([[float(v) for v in methods[name]] for name in names])
+    table = [_score_array(methods[name], f"method {name!r}", n) for name in names]
     ranks = mean_rank(table, orient)
     rows = []
-    for name, rank in zip(names, ranks):
-        scores = [TaskScore(value=float(v), baseline=b, higher_is_better=o)
-                  for v, b, o in zip(methods[name], baselines, orient)]
+    for name, row, rank in zip(names, table, ranks):
+        scores = [TaskScore(value=float(v), baseline=float(b), higher_is_better=o)
+                  for v, b, o in zip(row, baselines, orient)]
         rows.append([name, delta_m(scores), delta_m_deg(scores), float(rank)])
     header = ["method", "delta_m", "delta_m_deg", "mean_rank"]
     if args.out:

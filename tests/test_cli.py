@@ -36,6 +36,10 @@ def test_run_config_validation():
         RunConfig(total_iters=0)
     with pytest.raises(ValueError, match="unknown config key\\(s\\): lr, momentum"):
         RunConfig.from_dict({"lr": 0.1, "momentum": 0.9})
+    with pytest.raises(ValueError, match="step_size must be finite, got '0.1'"):
+        RunConfig(step_size="0.1")                   # a string, not a number
+    with pytest.raises(ValueError, match=r"weights must be finite, got \[1, 10{400}\]"):
+        RunConfig(weights=[1, 10 ** 400])            # past the double range
 
 
 def test_semantic_hash_ignores_run_id():
@@ -187,6 +191,34 @@ def test_bad_config_exits_2(tmp_path, capsys):
 def test_single_task_quadratic_exits_2(capsys):
     assert main(["run", "--problem", "quadratic", "--k", "1", "--scales", "1"]) == 2
     assert "error: weight vector needs at least 2 tasks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, flag, value", [
+    ("step_size", "--step-size", "nan"),
+    ("conflict_angle_deg", "--conflict-angle", "inf"),
+    ("exploration_ratio", "--exploration-ratio", "nan"),
+    ("noise", "--noise", "inf"),
+    ("weights", "--weights", "1,nan"),
+    ("scales", "--scales", "inf,1"),
+    ("offsets", "--offsets", "1,nan"),
+], ids=["step_size", "conflict_angle_deg", "exploration_ratio", "noise", "weights",
+        "scales", "offsets"])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_non_finite_setting_exits_2_before_training(tmp_path, capsys, monkeypatch,
+                                                      form, key, flag, value):
+    def no_training(cfg):
+        raise AssertionError("a problem was built")
+    monkeypatch.setattr(cli, "build_problem", no_training)
+    data = {"method": "fixed", "problem": "quadratic", "k": 2, "weights": [1.0, 1.0],
+            "total_iters": 5}
+    parsed = [float(v) for v in value.split(",")]
+    if form == "config":
+        data[key] = parsed if key in ("weights", "scales", "offsets") else parsed[0]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")  # NaN, Infinity
+    flags = [flag, value] if form == "flag" else []
+    assert main(["run", "--config", str(cfg_path), *flags]) == 2
+    assert f"error: {key} must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -391,3 +423,28 @@ def test_eval_missing_key_exits_1(tmp_path, capsys):
     rc = main(["eval", "--scores", str(path)])
     assert rc == 1
     assert "missing key 'methods'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, names", [
+    ({"baselines": [10 ** 400, 2.0]}, "'baselines' must be an array of finite numbers"),
+    ({"baselines": [None, 2.0]}, "'baselines' must be an array of finite numbers"),
+    ({"baselines": [True, 2.0]}, "'baselines' must be an array of finite numbers"),
+    ({"higher_is_better": ["false", False]},
+     "'higher_is_better' must be an array of booleans, one per baseline (2)"),
+    ({"higher_is_better": [False]},
+     "'higher_is_better' must be an array of booleans, one per baseline (2)"),
+    ({"baselines": [1.0]},
+     "'higher_is_better' must be an array of booleans, one per baseline (1)"),
+    ({"baselines": [1.0], "higher_is_better": [False]},
+     "method 'balanced' must be an array of finite numbers, one per baseline (1)"),
+    ({"methods": {"balanced": [math.nan, 1.8]}},
+     "method 'balanced' must be an array of finite numbers, one per baseline (2)"),
+    ({"methods": {"balanced": [1.1, "1.8"]}},
+     "method 'balanced' must be an array of finite numbers, one per baseline (2)"),
+], ids=["huge-int-baseline", "null-baseline", "bool-baseline", "string-orientation",
+        "short-orientation", "short-baselines", "short-baselines-and-orientation",
+        "nan-score", "string-score"])
+def test_eval_rejects_malformed_scores_with_exit_2(tmp_path, capsys, overrides, names):
+    rc = main(["eval", "--scores", str(_score_file(tmp_path, **overrides))])
+    assert rc == 2
+    assert f"error: score file {names}" in capsys.readouterr().err
