@@ -8,9 +8,9 @@ Subcommands:
   summary into a metric-vs-outcome rank-correlation table.
 * ``eval``    — score-file comparison table (delta_m / delta_m_deg / ranks).
 
-A declarative JSON config can replace the flags; explicit flags override the
-file.  Unknown config keys are rejected.  The environment variable
-``AUTOSCALE_LOG`` controls log verbosity only — it never changes results.
+A JSON config file can replace the flags; explicit flags override it.  Unknown
+keys are rejected and every value is checked against its ``RunConfig`` field's
+type.  ``AUTOSCALE_LOG`` sets log verbosity only; it never changes results.
 
 Exit codes: 0 on success; 1 when there is nothing to report (``analyze``
 without input, or with an empty trace or summary; ``eval`` with a missing key
@@ -28,7 +28,8 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from contextlib import closing
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ from .scheduler import (
     run_fixed_scalarization,
     run_weight_schedule,
 )
-from .traceio import TraceLine, config_hash, read_trace, write_trace
+from .traceio import TraceLine, config_hash, iter_trace, read_trace, write_trace
 
 logger = logging.getLogger(__name__)
 
@@ -61,20 +62,47 @@ PROBLEMS = ("quadratic", "mlp", "reference")
 #: Run-mean metric columns shared by summaries, aggregates and correlations.
 SUMMARY_METRICS = ("mean_gms", "mean_gcs", "mean_cond", "mean_ilr_std", "mean_rl_std")
 
-_LIST_KEYS = ("weights", "scales", "offsets")
-
 
 def _finite(values) -> bool:
-    """Whether all ``values`` are numbers that finite doubles hold."""
-    return all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for v in values)
+    """Whether ``values`` is a list or tuple of numbers, not bools, that finite doubles hold."""
+    return isinstance(values, (list, tuple)) and all(
+        isinstance(v, (int, float)) and type(v) is not bool and abs(v) <= sys.float_info.max
+        for v in values)
+
+
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part != "")
+
+
+_FLOAT_LIST = "tuple[float, ...]"
+#: Flag parser per setting annotation (without ``| None``); strings need none.
+_PARSERS = {"int": int, "float": float, "str": None, _FLOAT_LIST: _parse_float_list}
+#: Flags spelled other than ``--field-name``.
+_FLAG_NAMES = {"cost_kind": "--cost", "snapshot_stride": "--stride",
+               "conflict_angle_deg": "--conflict-angle"}
+#: Choices and help of the flags that have them.
+_FLAG_OPTIONS = {
+    "method": {"choices": METHODS},
+    "problem": {"choices": PROBLEMS},
+    "cost_kind": {"choices": [k.value for k in CostKind]},
+    "weights": {"help": "comma-separated fixed weights, e.g. 1.2,0.8"},
+    "conflict_angle_deg": {"help": "pairwise gradient angle at the start, in degrees"},
+}
+
+
+def _kind(f) -> str:
+    """A setting's annotation without ``| None``: a key of ``_PARSERS``."""
+    return f.type.removesuffix(" | None")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Declarative description of a single run.
 
-    Mirrored one-to-one by the ``run`` subcommand's flags.  ``run_id`` is
-    derived from method and config hash when not given.
+    The one place a run setting is declared: each field's annotation gives
+    its ``run``/``sweep`` flag parser and the type check every value passes,
+    from flags and config files alike.  ``run_id`` is derived from method and
+    config hash when not given.
     """
 
     method: str = "autoscale"
@@ -103,42 +131,38 @@ class RunConfig:
     noise: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            name, value, kind = f.name, getattr(self, f.name), _kind(f)
+            if value is None and kind != f.type:        # an optional setting left unset
+                continue
+            if kind == "int":
+                if type(value) is not int or value < 1 and name != "seed":
+                    least = "" if name == "seed" else " >= 1"
+                    raise ValueError(f"{name} must be an integer{least}, got {value!r}")
+            elif kind == "str":
+                if type(value) is not str:
+                    raise ValueError(f"{name} must be a string, got {value!r}")
+            elif not _finite((value,) if kind == "float" else value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            elif kind == _FLOAT_LIST:
+                object.__setattr__(self, name, tuple(float(v) for v in value))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
         CostKind.parse(self.cost_kind)
-        if self.total_iters < 1:
-            raise ValueError("total_iters must be >= 1")
         if self.method == "fixed" and self.weights is None:
             raise ValueError("method 'fixed' needs explicit weights")
-        for name in ("exploration_ratio", "conflict_angle_deg", "step_size", "noise",
-                     *_LIST_KEYS):
-            value = getattr(self, name)
-            if value is not None and not _finite(value if name in _LIST_KEYS else (value,)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in _LIST_KEYS:
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, tuple(float(v) for v in value))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
-            raise ValueError(
-                f"unknown config key(s): {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         return cls(**data)
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        return asdict(self)
 
     def semantic_hash(self) -> str:
         payload = self.to_dict()
@@ -200,16 +224,8 @@ def execute_run(cfg: RunConfig) -> tuple[dict, TrainingRun | None]:
     run: TrainingRun | None = None
 
     if cfg.method == "autoscale":
-        as_cfg = AutoScaleConfig(
-            total_iters=cfg.total_iters,
-            exploration_ratio=cfg.exploration_ratio,
-            window_size=cfg.window_size,
-            aggregation_size=cfg.aggregation_size,
-            cost_kind=cfg.cost_kind,
-            seed=cfg.seed,
-            snapshot_stride=cfg.snapshot_stride,
-        )
-        run = run_autoscale(problem, as_cfg)
+        run = run_autoscale(problem, AutoScaleConfig(
+            **{f.name: getattr(cfg, f.name) for f in fields(AutoScaleConfig)}))
     elif cfg.method == "unitary":
         run = run_fixed_scalarization(problem, uniform_weights(k), cfg.total_iters)
     elif cfg.method == "fixed":
@@ -274,59 +290,30 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _load_config_file(path) -> dict:
+def _load_object(path, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"{what} file must hold a JSON object")
     return data
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part != "")
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    data: dict = {}
-    if args.config:
-        data.update(_load_config_file(args.config))
+    data = _load_object(args.config, "config") if args.config else {}
     for f in fields(RunConfig):
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
             data[f.name] = flag_value
-    for key in _LIST_KEYS:
-        if isinstance(data.get(key), str):
-            data[key] = _parse_float_list(data[key])
+        elif _kind(f) == _FLOAT_LIST and isinstance(data.get(f.name), str):
+            data[f.name] = _parse_float_list(data[f.name])
     return RunConfig.from_dict(data)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--problem", choices=PROBLEMS)
-    p.add_argument("--total-iters", dest="total_iters", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cost", dest="cost_kind",
-                   choices=[k.value for k in CostKind])
-    p.add_argument("--exploration-ratio", dest="exploration_ratio", type=float)
-    p.add_argument("--window-size", dest="window_size", type=int)
-    p.add_argument("--aggregation-size", dest="aggregation_size", type=int)
-    p.add_argument("--stride", dest="snapshot_stride", type=int)
-    p.add_argument("--weights", type=_parse_float_list,
-                   help="comma-separated fixed weights, e.g. 1.2,0.8")
-    p.add_argument("--run-id", dest="run_id")
-    p.add_argument("--baseline-iters", dest="baseline_iters", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--scales", type=_parse_float_list)
-    p.add_argument("--conflict-angle", dest="conflict_angle_deg", type=float,
-                   help="pairwise gradient angle at the start, in degrees")
-    p.add_argument("--offsets", type=_parse_float_list)
-    p.add_argument("--step-size", dest="step_size", type=float)
-    p.add_argument("--input-dim", dest="input_dim", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--noise", type=float)
+    for f in fields(RunConfig):
+        p.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
+                       dest=f.name, type=_PARSERS[_kind(f)], **_FLAG_OPTIONS.get(f.name, {}))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -425,12 +412,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     wrote_anything = False
 
     if args.traces:
+        # A run id names its trajectory CSV, so check them all before writing.
+        paths_by_id: dict = {}
+        for path in args.traces:
+            with closing(iter_trace(path)) as lines:
+                first = next(lines, None)
+            if first is None:
+                print(f"analyze: {path} is empty", file=sys.stderr)
+                return 1
+            if first.run_id in paths_by_id:
+                raise ValueError(f"traces {paths_by_id[first.run_id]} and {path} share "
+                                 f"run id {first.run_id!r}")
+            paths_by_id[first.run_id] = path
         agg_rows = []
         for path in args.traces:
             lines = read_trace(path)
-            if not lines:
-                print(f"analyze: {path} is empty", file=sys.stderr)
-                return 1
             run_id = lines[0].run_id
             columns = {name: [getattr(l, name) for l in lines]
                        for name in _TRAJECTORY_COLUMNS}
@@ -458,6 +454,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not rows:
             print("analyze: summary file has no rows", file=sys.stderr)
             return 1
+        if "delta_m" not in reader.fieldnames:
+            raise ValueError(f"summary file {args.summary} has no 'delta_m' column")
         dm = np.array([float(r["delta_m"]) for r in rows])
         corr_rows = []
         for metric in SUMMARY_METRICS:
@@ -487,15 +485,15 @@ def _score_array(values, where: str, n: int | None, kind: str = "finite numbers"
     booleans, or numbers (not booleans) that finite doubles hold."""
     types = (bool,) if kind == "booleans" else (int, float)
     if (type(values) is not list or n not in (None, len(values))
-            or not all(type(v) in types for v in values) or not _finite(values)):
+            or not all(type(v) in types for v in values)
+            or (kind != "booleans" and not _finite(values))):
         per = "" if n is None else f", one per baseline ({n})"
         raise ValueError(f"score file {where} must be an array of {kind}{per}")
     return values
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    with open(args.scores, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_object(args.scores, "score")
     for key in ("baselines", "higher_is_better", "methods"):
         if key not in data:
             print(f"eval: score file missing key {key!r}", file=sys.stderr)

@@ -1,8 +1,10 @@
 """Command-line shell: run, sweep, analyze, eval."""
+import argparse
 import csv
 import json
 import math
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -40,6 +42,8 @@ def test_run_config_validation():
         RunConfig(step_size="0.1")                   # a string, not a number
     with pytest.raises(ValueError, match=r"weights must be finite, got \[1, 10{400}\]"):
         RunConfig(weights=[1, 10 ** 400])            # past the double range
+    with pytest.raises(ValueError, match="noise must be finite, got True"):
+        RunConfig(noise=True)                        # a boolean, not a number
 
 
 def test_semantic_hash_ignores_run_id():
@@ -221,6 +225,77 @@ def test_non_finite_setting_exits_2_before_training(tmp_path, capsys, monkeypatc
     assert f"error: {key} must be finite" in capsys.readouterr().err
 
 
+_INT_SETTINGS = ("total_iters", "window_size", "aggregation_size", "snapshot_stride",
+                 "baseline_iters", "k", "dim", "input_dim", "width", "n_samples")
+_INT_FLAGS = dict(zip(_INT_SETTINGS, (
+    "--total-iters", "--window-size", "--aggregation-size", "--stride", "--baseline-iters",
+    "--k", "--dim", "--input-dim", "--width", "--n-samples")))
+
+
+@pytest.mark.parametrize("key, form, value", [
+    *((key, "config", value) for key in _INT_SETTINGS for value in ("7", 30.5, True, 0)),
+    *((key, "flag", "0") for key in _INT_SETTINGS),
+    ("seed", "config", True),
+    ("seed", "config", 1e20),
+])
+def test_malformed_integer_setting_exits_2_before_training(tmp_path, capsys, monkeypatch,
+                                                           key, form, value):
+    def no_training(cfg):
+        raise AssertionError("a problem was built")
+    monkeypatch.setattr(cli, "build_problem", no_training)
+    data = {"method": "fixed", "problem": "quadratic", "k": 2, "weights": [1.0, 1.0],
+            "total_iters": 5}
+    if form == "config":
+        data[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    flags = [_INT_FLAGS[key], value] if form == "flag" else []
+    assert main(["run", "--config", str(cfg_path), *flags]) == 2
+    least = "" if key == "seed" else " >= 1"
+    assert f"error: {key} must be an integer{least}, got" in capsys.readouterr().err
+
+
+def _option_table(command: str) -> list:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(a.option_strings, a.dest, a.choices, a.type)
+            for a in sub.choices[command]._actions]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_config_flags_mirror_the_run_config_fields(command):
+    floats = cli._parse_float_list
+    expected = [
+        (["--config"], "config", None, None),
+        (["--method"], "method", ("autoscale", "unitary", "fixed", "rlw", "stl"), None),
+        (["--problem"], "problem", ("quadratic", "mlp", "reference"), None),
+        (["--total-iters"], "total_iters", None, int),
+        (["--seed"], "seed", None, int),
+        (["--cost"], "cost_kind", ["equal-grad-norm", "equal-loss", "low-cond"], None),
+        (["--exploration-ratio"], "exploration_ratio", None, float),
+        (["--window-size"], "window_size", None, int),
+        (["--aggregation-size"], "aggregation_size", None, int),
+        (["--stride"], "snapshot_stride", None, int),
+        (["--weights"], "weights", None, floats),
+        (["--run-id"], "run_id", None, None),
+        (["--baseline-iters"], "baseline_iters", None, int),
+        (["--k"], "k", None, int),
+        (["--dim"], "dim", None, int),
+        (["--scales"], "scales", None, floats),
+        (["--conflict-angle"], "conflict_angle_deg", None, float),
+        (["--offsets"], "offsets", None, floats),
+        (["--step-size"], "step_size", None, float),
+        (["--input-dim"], "input_dim", None, int),
+        (["--width"], "width", None, int),
+        (["--n-samples"], "n_samples", None, int),
+        (["--noise"], "noise", None, float),
+    ]
+    table = _option_table(command)
+    assert table[0][1] == "help"
+    assert table[1:1 + len(expected)] == expected
+    assert [row[1] for row in expected[1:]] == [f.name for f in fields(RunConfig)]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_run_names_the_iteration(capsys):
     rc = main(["run", "--method", "fixed", "--problem", "quadratic", "--k", "3",
@@ -325,6 +400,31 @@ def test_analyze_requires_some_input(tmp_path, capsys):
     rc = main(["analyze", "--out-dir", str(tmp_path / "empty")])
     assert rc == 1
     assert "nothing to do" in capsys.readouterr().err
+
+
+def test_analyze_rejects_traces_that_share_a_run_id(tmp_path, capsys):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert main(["run", "--method", "unitary", *QUAD, "--total-iters", "10",
+                 "--run-id", "run", "--trace", str(first)]) == 0
+    assert main(["run", "--method", "unitary", "--problem", "mlp", "--k", "2",
+                 "--total-iters", "12", "--baseline-iters", "3",
+                 "--run-id", "run", "--trace", str(second)]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "an"
+    rc = main(["analyze", "--traces", str(first), str(second), "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert (f"error: traces {first} and {second} share run id 'run'"
+            in capsys.readouterr().err)
+    assert list(out_dir.iterdir()) == []
+
+
+def test_analyze_summary_without_delta_m_exits_2(tmp_path, capsys):
+    summary = tmp_path / "sweep_summary.csv"
+    summary.write_text("run_id,mean_cond\nsweep-000,1.5\n", encoding="utf-8")
+    rc = main(["analyze", "--summary", str(summary), "--out-dir", str(tmp_path / "an")])
+    assert rc == 2
+    assert (f"error: summary file {summary} has no 'delta_m' column"
+            in capsys.readouterr().err)
 
 
 def test_analyze_corrupt_trace_names_the_line(tmp_path, capsys):
@@ -448,3 +548,12 @@ def test_eval_rejects_malformed_scores_with_exit_2(tmp_path, capsys, overrides, 
     rc = main(["eval", "--scores", str(_score_file(tmp_path, **overrides))])
     assert rc == 2
     assert f"error: score file {names}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5", '"scores"', "[1.0, 2.0]", "null"],
+                         ids=["number", "string", "array", "null"])
+def test_eval_rejects_a_score_file_that_is_not_an_object(tmp_path, capsys, text):
+    path = tmp_path / "scores.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["eval", "--scores", str(path)]) == 2
+    assert "error: score file must hold a JSON object" in capsys.readouterr().err
