@@ -12,6 +12,9 @@ pairs of K=8 take numpy's pairwise summation path in the pair means).  A refacto
 that claims "same outputs" must leave every digest unchanged; a change
 that moves results on purpose re-pins them here and says why.
 
+The analyze cases pin the CSVs ``autoscale analyze`` writes: one sweep's
+trajectory, aggregate and correlation tables, and one ``--smooth 3`` run.
+
 Digests were recorded with numpy 2.4.6 (OpenBLAS 0.3.31), Python 3.11, x86-64.
 Another numpy or BLAS build may round differently and produce other digests.
 """
@@ -115,3 +118,52 @@ def run_case(name, out_dir):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name, tmp_path):
     assert run_case(name, tmp_path) == DIGESTS[name]
+
+
+#: analyze case -> output file -> sha256
+ANALYZE_DIGESTS = {
+    "smooth3": {
+        "aggregates.csv":
+            "7550eefef734860508f7cc8547574c747c581229e61fce25da970ce886c7d936",
+        "ref-low-cond_trajectory.csv":
+            "c1c004fc40279a0919a284103af1a9a2ba86f51d99afb385faede412ee9c96de",
+    },
+    "sweep": {
+        "aggregates.csv":
+            "84b3c06aa9f36831e2e52785bbd21106a7ce6a0f8d08bbbb105ca1b72a904e39",
+        "correlations.csv":
+            "b05139fdb9869d3e375eae5179e9f818c667ba7a871d75d459ecafd700b418ab",
+        "sweep-000_trajectory.csv":
+            "f62e8eac1a5412064b9ac60c61f5051e8a9d871a62c5ea98984c1d69a7dee182",
+        "sweep-001_trajectory.csv":
+            "ba13f23cb6cc8a81907cf758930bbea9374d5cf59c79cedd7801f641f11ce949",
+        "sweep-002_trajectory.csv":
+            "ac6a914ed4d0afac30cd42a4be31ce60557d732674b816693f6072fb0d788d4b",
+        "sweep-003_trajectory.csv":
+            "ffdd9b232bd6618ff7064716f9fa5d446c32516b09685edef10d6cc9f230c7fb",
+    },
+}
+
+
+def analyze_case(name, tmp_path):
+    """Write the case's traces, run ``analyze`` on them and return the
+    digest of every CSV it wrote."""
+    out = tmp_path / "analysis"
+    if name == "sweep":
+        sweep = tmp_path / "sweep"
+        assert cli.main(["sweep", "--problem", "reference", "--total-iters", "200",
+                         "--n", "4", "--seed", "13", "--write-traces",
+                         "--out-dir", str(sweep)]) == 0
+        argv = ["--traces", *sorted(map(str, sweep.glob("*.jsonl"))),
+                "--summary", str(sweep / "sweep_summary.csv")]
+    else:
+        run_case("ref-low-cond", tmp_path)
+        argv = ["--traces", str(tmp_path / "ref-low-cond.jsonl"), "--smooth", "3"]
+    assert cli.main(["analyze", *argv, "--out-dir", str(out)]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", ["smooth3", "sweep"])
+def test_analyze_digest(name, tmp_path):
+    assert analyze_case(name, tmp_path) == ANALYZE_DIGESTS[name]
