@@ -52,7 +52,7 @@ from .scheduler import (
     run_fixed_scalarization,
     run_weight_schedule,
 )
-from .traceio import TraceLine, config_hash, iter_trace, read_trace, write_trace
+from .traceio import TraceLine, config_hash, iter_trace, read_trace_columns, write_trace
 
 logger = logging.getLogger(__name__)
 
@@ -204,17 +204,18 @@ def _baseline_iters(cfg: RunConfig) -> int:
     return cfg.baseline_iters if cfg.baseline_iters is not None else cfg.total_iters
 
 
-def _run_mean_metrics(rows) -> dict:
-    """The SUMMARY_METRICS means over metric records or trace lines."""
-    gms = [r.gms_mean for r in rows if r.gms_mean is not None]
-    gcs = [r.gcs_mean for r in rows if r.gcs_mean is not None]
-    return {
-        "mean_gms": float(np.mean(gms)) if gms else None,
-        "mean_gcs": float(np.mean(gcs)) if gcs else None,
-        "mean_cond": float(np.mean([r.cond_number for r in rows])),
-        "mean_ilr_std": float(np.mean([r.ilr_std for r in rows])),
-        "mean_rl_std": float(np.mean([r.rl_std for r in rows])),
-    }
+#: Per-iteration metric columns: trajectory CSVs and the SUMMARY_METRICS means.
+_TRAJECTORY_COLUMNS = ("gms_mean", "gcs_mean", "cond_number", "ilr_std", "rl_std")
+
+
+def _run_mean_metrics(columns: dict) -> dict:
+    """The SUMMARY_METRICS means of the _TRAJECTORY_COLUMNS; a mean of a
+    column that is null on every row is None."""
+    means = {}
+    for metric, name in zip(SUMMARY_METRICS, _TRAJECTORY_COLUMNS):
+        values = [v for v in columns[name] if v is not None]
+        means[metric] = float(np.mean(values)) if values else None
+    return means
 
 
 def execute_run(cfg: RunConfig) -> tuple[dict, TrainingRun | None]:
@@ -262,7 +263,8 @@ def execute_run(cfg: RunConfig) -> tuple[dict, TrainingRun | None]:
     summary["final_weights"] = (None if final_weight is None
                                 else [float(v) for v in final_weight.w])
     if run is not None:
-        summary.update(_run_mean_metrics(run.records))
+        summary.update(_run_mean_metrics(
+            {name: [getattr(r, name) for r in run.records] for name in _TRAJECTORY_COLUMNS}))
     return summary, run
 
 
@@ -305,7 +307,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if flag_value is not None:
             data[f.name] = flag_value
         elif _kind(f) == _FLOAT_LIST and isinstance(data.get(f.name), str):
-            data[f.name] = _parse_float_list(data[f.name])
+            try:
+                data[f.name] = _parse_float_list(data[f.name])
+            except ValueError:
+                raise ValueError(f"config file {args.config}: {f.name!r} must be "
+                                 f"comma-separated numbers, got {data[f.name]!r}") from None
     return RunConfig.from_dict(data)
 
 
@@ -356,6 +362,8 @@ def _sweep_member(payload: tuple) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be an integer >= 1, got {args.jobs}")
     cfg = _merge_config(args)
     problem = build_problem(cfg)
     weight_sets = sample_weight_sets(args.n, problem.num_tasks, seed=cfg.seed,
@@ -392,9 +400,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-_TRAJECTORY_COLUMNS = ("gms_mean", "gcs_mean", "cond_number", "ilr_std", "rl_std")
-
-
 def _smooth(series: list, window: int) -> list:
     if window <= 1:
         return series
@@ -405,6 +410,18 @@ def _smooth(series: list, window: int) -> list:
         vals = [a for a in acc if a is not None]
         out.append(float(np.mean(vals)) if vals else None)
     return out
+
+
+def _summary_column(rows: list, name: str, path) -> np.ndarray:
+    """Column ``name`` of a sweep summary's rows as floats."""
+    values = []
+    for i, row in enumerate(rows, start=1):
+        try:
+            values.append(float(row[name]))
+        except (TypeError, ValueError):     # TypeError: a short row's None
+            raise ValueError(f"summary file {path}, row {i}: column {name!r} must be "
+                             f"a number, got {row[name]!r}") from None
+    return np.array(values)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -426,20 +443,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             paths_by_id[first.run_id] = path
         agg_rows = []
         for path in args.traces:
-            lines = read_trace(path)
-            run_id = lines[0].run_id
-            columns = {name: [getattr(l, name) for l in lines]
-                       for name in _TRAJECTORY_COLUMNS}
+            columns = read_trace_columns(
+                path, ("iter", "run_id", "method", "cost_kind", *_TRAJECTORY_COLUMNS))
+            iters = columns["iter"]
+            run_id, method, cost_kind = (columns[name][0]
+                                         for name in ("run_id", "method", "cost_kind"))
+            series = [columns[name] for name in _TRAJECTORY_COLUMNS]
+            agg_rows.append([run_id, method, cost_kind, len(iters),
+                             *_run_mean_metrics(columns).values()])
             if args.smooth > 1:
-                columns = {name: _smooth(vals, args.smooth)
-                           for name, vals in columns.items()}
-            out_path = os.path.join(args.out_dir, f"{run_id}_trajectory.csv")
-            header = ["iter"] + list(_TRAJECTORY_COLUMNS)
-            rows = [[line.iter] + [columns[c][i] for c in _TRAJECTORY_COLUMNS]
-                    for i, line in enumerate(lines)]
-            _write_csv(out_path, header, rows)
-            agg_rows.append([run_id, lines[0].method, lines[0].cost_kind, len(lines),
-                             *_run_mean_metrics(lines).values()])
+                series = [_smooth(values, args.smooth) for values in series]
+            _write_csv(os.path.join(args.out_dir, f"{run_id}_trajectory.csv"),
+                       ["iter", *_TRAJECTORY_COLUMNS], zip(iters, *series))
             wrote_anything = True
         agg_path = os.path.join(args.out_dir, "aggregates.csv")
         _write_csv(agg_path,
@@ -456,14 +471,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             return 1
         if "delta_m" not in reader.fieldnames:
             raise ValueError(f"summary file {args.summary} has no 'delta_m' column")
-        dm = np.array([float(r["delta_m"]) for r in rows])
+        dm = _summary_column(rows, "delta_m", args.summary)
         corr_rows = []
         for metric in SUMMARY_METRICS:
-            values = [r.get(metric, "") for r in rows]
-            if any(v == "" or v is None for v in values):
+            if any(r.get(metric) in ("", None) for r in rows):
                 corr_rows.append([metric, None])
                 continue
-            rho = spearman_correlation(dm, np.array([float(v) for v in values]))
+            rho = spearman_correlation(dm, _summary_column(rows, metric, args.summary))
             corr_rows.append([metric, rho])
         corr_path = os.path.join(args.out_dir, "correlations.csv")
         _write_csv(corr_path, ["metric", "spearman_rho_vs_delta_m"], corr_rows)

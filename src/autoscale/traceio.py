@@ -8,6 +8,9 @@ reproduces the exact binary values and identical runs produce byte-identical
 files.  ``TraceLine`` converts every value once, whether it comes from a run
 or from a file.  Parsing is strict: unknown fields and non-finite numbers
 are rejected, and a truncated or malformed line reports what is missing.
+``read_trace_columns`` reads chosen fields as columns under the same rules,
+checking blocks of lines at once and leaving every error to
+``parse_trace_line``.
 """
 from __future__ import annotations
 
@@ -15,7 +18,9 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 #: Exact serialized field order.  Metadata first, then the per-iteration payload.
 TRACE_FIELDS = (
@@ -31,6 +36,13 @@ _OPTIONAL_FLOATS = ("gms_mean", "gcs_mean")
 _FLOATS = ("cond_number", "ilr_std", "rl_std")
 _NUMBER_TYPES = frozenset((int, float))
 _MAX_FLOAT = sys.float_info.max
+_STRINGS = ("run_id", "method", "cost_kind", "config_hash")
+_INTEGERS = ("seed", "iter")
+_ARRAYS = _FLOAT_TUPLES + ("degenerate_flags",)
+_FIELD_SET = frozenset(TRACE_FIELDS)
+_STR, _INT, _FLOAT, _LIST = (frozenset((t,)) for t in (str, int, float, list))
+#: Most non-blank lines ``read_trace_columns`` decodes before checking them.
+_BLOCK_LINES = 64
 
 
 class TraceParseError(ValueError):
@@ -109,10 +121,10 @@ def parse_trace_line(text: str, line_number: int | None = None) -> TraceLine:
 
     # json.loads yields exact int/float/str/list/bool/None, so exact type
     # tests suffice and keep bool (an int subclass) out.
-    for name in ("run_id", "method", "cost_kind", "config_hash"):
+    for name in _STRINGS:
         if type(payload[name]) is not str:
             raise fail(f"field {name!r} must be a string")
-    for name in ("seed", "iter"):
+    for name in _INTEGERS:
         if type(payload[name]) is not int:
             raise fail(f"field {name!r} must be an integer")
     for name in _FLOAT_TUPLES:
@@ -160,6 +172,71 @@ def iter_trace(path) -> Iterator[TraceLine]:
 
 def read_trace(path) -> list[TraceLine]:
     return list(iter_trace(path))
+
+
+def read_trace_columns(path, names: Sequence[str]) -> dict[str, list]:
+    """The fields ``names`` of a trace file as columns, one entry per line.
+
+    Accepts and rejects exactly what :func:`read_trace` does, with the same
+    values (arrays as tuples) and the same errors.  Lines are decoded in
+    blocks of at most ``_BLOCK_LINES`` and checked together; a block that
+    fails any check, even one ``parse_trace_line`` would pass, is parsed
+    again line by line, so that function alone words every error.
+    """
+    columns: dict[str, list] = {name: [] for name in names}
+    block: list[tuple[int, str]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for i, raw in enumerate(fh, start=1):
+                raw = raw.strip()
+                if raw:
+                    block.append((i, raw))
+                    if len(block) == _BLOCK_LINES:
+                        _read_block(block, columns)
+                        block.clear()
+        except UnicodeDecodeError:
+            # read_trace would have parsed the lines decoded before this.
+            _read_block(block, columns)
+            raise
+    _read_block(block, columns)
+    return columns
+
+
+def _read_block(block: list[tuple[int, str]], columns: dict[str, list]) -> None:
+    payloads = _checked_payloads([text for _, text in block])
+    if payloads is None:
+        lines = [parse_trace_line(text, line_number=i) for i, text in block]
+        for name, column in columns.items():
+            column.extend(getattr(line, name) for line in lines)
+        return
+    for name, column in columns.items():
+        values = (p[name] for p in payloads)
+        column.extend(map(tuple, values) if name in _ARRAYS else values)
+
+
+def _checked_payloads(texts: list[str]) -> list[dict] | None:
+    """The decoded lines when every one holds exactly the trace fields, with
+    exact types, only ``float`` numbers (an int may be past the double
+    range) and finite ones; otherwise None."""
+    try:
+        payloads = list(map(json.loads, texts))
+    except (ValueError, RecursionError):
+        return None
+    if not all(type(p) is dict and p.keys() == _FIELD_SET for p in payloads):
+        return None
+    if not _LIST.issuperset(map(type, [p[n] for p in payloads for n in _ARRAYS])):
+        return None
+    strings = [p[n] for p in payloads for n in _STRINGS]
+    strings.extend(flag for p in payloads for flag in p["degenerate_flags"])
+    floats = [x for p in payloads for n in _FLOAT_TUPLES for x in p[n]]
+    floats.extend(p[n] for p in payloads for n in _FLOATS)
+    floats.extend(v for p in payloads for n in _OPTIONAL_FLOATS if (v := p[n]) is not None)
+    if (_STR.issuperset(map(type, strings))
+            and _INT.issuperset(map(type, [p[n] for p in payloads for n in _INTEGERS]))
+            and _FLOAT.issuperset(map(type, floats))
+            and np.isfinite(np.array(floats)).all()):
+        return payloads
+    return None
 
 
 def config_hash(config_dict: dict) -> str:

@@ -192,6 +192,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["weights", "scales", "offsets"])
+def test_config_float_list_string_that_is_no_numbers_exits_2(tmp_path, capsys, key):
+    data = {"method": "fixed", "weights": [1.0, 1.0, 1.0], "total_iters": 5, key: "1,x"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config file {cfg_path}: {key!r} must be comma-separated numbers, "
+        "got '1,x'\n")
+
+
 def test_single_task_quadratic_exits_2(capsys):
     assert main(["run", "--problem", "quadratic", "--k", "1", "--scales", "1"]) == 2
     assert "error: weight vector needs at least 2 tasks" in capsys.readouterr().err
@@ -363,6 +374,16 @@ def test_sweep_is_deterministic_and_job_count_invariant(tmp_path):
     assert first == parallel
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_a_job_count_below_one(tmp_path, capsys, jobs):
+    out_dir = tmp_path / "sw"
+    rc = main(["sweep", *QUAD, "--total-iters", "5", "--n", "2",
+               "--out-dir", str(out_dir), "--jobs", jobs])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --jobs must be an integer >= 1, got {jobs}\n"
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze subcommand
 # ---------------------------------------------------------------------------
@@ -456,6 +477,54 @@ def test_analyze_exits_2_on_a_number_no_double_holds(tmp_path, capsys, field, ra
     rc = main(["analyze", "--traces", str(trace), "--out-dir", str(tmp_path / "x")])
     assert rc == 2
     assert f"error: line 3: field '{field}' must be finite" in capsys.readouterr().err
+
+
+_NOT_WEIGHTS = ("run_id, method, cost_kind, seed, config_hash, iter, losses, grad_norms, "
+                "gram_upper, gms_mean, gcs_mean, cond_number, ilr, ilr_std, ldr, rl, "
+                "rl_std, degenerate_flags")
+
+
+@pytest.mark.parametrize("field, raw, message", [
+    (None, '{"weights": "oops"}', f"missing field(s): {_NOT_WEIGHTS}"),
+    ("cond_number", "NaN", "field 'cond_number' must be finite and within the double range"),
+    ("ilr_std", "1e999", "field 'ilr_std' must be finite and within the double range"),
+    ("gram_upper", "[" + "9" * 400 + "]",
+     "field 'gram_upper' must be finite and within the double range"),
+    ("weights", "[1.0,true]", "field 'weights' must be an array of numbers"),
+    ("zebra", "1", "unknown field(s): zebra"),
+], ids=["missing", "nan", "inf", "huge-int", "true-in-floats", "unknown-field"])
+def test_analyze_names_a_malformed_line_deep_in_a_trace(tmp_path, capsys, field, raw,
+                                                         message):
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", "--method", "unitary", *QUAD, "--total-iters", "200",
+                 "--trace", str(trace)]) == 0
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    if field is None:
+        lines[129] = raw
+    elif field == "zebra":
+        lines[129] = lines[129][:-1] + f',"{field}":{raw}}}'
+    else:
+        lines[129] = re.sub(f'"{field}":(\\[[^]]*\\]|[^,]*)', f'"{field}":{raw}', lines[129])
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["analyze", "--traces", str(trace), "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: line 130: {message}\n"
+
+
+@pytest.mark.parametrize("text, where", [
+    ("run_id,delta_m,mean_cond\na,1.5,2\nb,abc,3\n", "row 2: column 'delta_m' "
+     "must be a number, got 'abc'"),
+    ("run_id,delta_m,mean_cond\na,1.5,2\nb,2.5,x\n", "row 2: column 'mean_cond' "
+     "must be a number, got 'x'"),
+    ("run_id,delta_m,mean_cond\na\n", "row 1: column 'delta_m' must be a number, got None"),
+], ids=["delta_m", "metric", "short-row"])
+def test_analyze_summary_cell_that_is_no_number_exits_2(tmp_path, capsys, text, where):
+    summary = tmp_path / "sweep_summary.csv"
+    summary.write_text(text, encoding="utf-8")
+    rc = main(["analyze", "--summary", str(summary), "--out-dir", str(tmp_path / "an")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: summary file {summary}, {where}\n"
 
 
 def test_analyze_smooth_is_a_trailing_mean(tmp_path):

@@ -15,8 +15,9 @@ from autoscale import (
     serialize_trace_line,
     write_trace,
 )
+from autoscale import cli
 from autoscale.cli import RunConfig, execute_run, trace_lines_for_run
-from autoscale.traceio import iter_trace
+from autoscale.traceio import iter_trace, read_trace_columns
 
 from helpers import (
     bits_equal as _bits_equal,
@@ -238,6 +239,126 @@ def test_writes_are_byte_identical(tmp_path):
     write_trace(p1, lines)
     write_trace(p2, lines)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# columnar reads
+# ---------------------------------------------------------------------------
+
+def _columns_or_error(read, path):
+    """What a read gives: its columns as text (``repr`` tells -0.0 from 0.0),
+    or the type and message of the error it raised."""
+    try:
+        return repr(read(path))
+    except (TraceParseError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_reads_agree(path, names=TRACE_FIELDS):
+    """read_trace_columns gives read_trace's attributes, or its error."""
+    by_lines = _columns_or_error(
+        lambda p: {name: [getattr(line, name) for line in read_trace(p)] for name in names},
+        path)
+    assert _columns_or_error(lambda p: read_trace_columns(p, names), path) == by_lines
+    return by_lines
+
+
+@pytest.mark.parametrize("argv", [
+    ("--method", "autoscale", "--problem", "reference", "--cost", "low-cond",
+     "--total-iters", "150", "--exploration-ratio", "0.4", "--window-size", "30",
+     "--aggregation-size", "2"),
+    ("--method", "rlw", "--problem", "mlp", "--k", "4", "--total-iters", "130",
+     "--baseline-iters", "5"),
+], ids=["reference-low-cond", "mlp-k4-rlw"])
+def test_columns_equal_the_parsed_lines_of_a_written_trace(tmp_path, argv):
+    path = tmp_path / "run.jsonl"
+    assert cli.main(["run", *argv, "--trace", str(path)]) == 0
+    columns = read_trace_columns(path, TRACE_FIELDS)
+    lines = read_trace(path)
+    for name in TRACE_FIELDS:
+        assert columns[name] == [getattr(line, name) for line in lines], name
+    assert repr(columns) == _assert_reads_agree(path)
+    # Any subset, in any order, holds the same entries.
+    assert read_trace_columns(path, ("rl_std", "iter")) == {
+        "rl_std": columns["rl_std"], "iter": columns["iter"]}
+
+
+def _texts(n, seed=8):
+    rng = np.random.default_rng(seed)
+    return [serialize_trace_line(_random_line(rng, k=int(rng.integers(2, 5))))
+            for _ in range(n)]
+
+
+def _edit(text, **fields):
+    payload = json.loads(text)
+    payload.update(fields)
+    return json.dumps(payload)
+
+
+def test_columns_accept_what_the_line_parser_accepts(tmp_path):
+    texts = _texts(200)          # ragged: K differs from line to line
+    texts[5] = _edit(texts[5], weights=[1, 2, 3], cond_number=7, gms_mean=0)
+    texts[70] = _edit(texts[70], losses=[], gram_upper=[2**60, -1.5], gcs_mean=None)
+    texts[199] = _edit(texts[199], degenerate_flags=["zero-grad", ""], seed=2**70)
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n\n" + "\n   \n".join(texts) + "\n\t\n", encoding="utf-8")
+    _assert_reads_agree(path)
+    columns = read_trace_columns(path, ("weights", "cond_number", "gms_mean", "gram_upper"))
+    assert columns["weights"][5] == (1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in (*columns["weights"][5],
+                                          columns["cond_number"][5], columns["gms_mean"][5]))
+    assert columns["gram_upper"][70] == (float(2**60), -1.5)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n \n", encoding="utf-8")
+    assert read_trace_columns(empty, ("iter",)) == {"iter": []}
+
+
+_MALFORMED = {
+    "invalid-json": lambda t: t[:-1],
+    "not-an-object": lambda t: "[1, 2]",
+    "missing-fields": lambda t: '{"weights": "oops"}',
+    "unknown-field": lambda t: _edit(t, zebra=1),
+    "bool-in-floats": lambda t: _edit(t, weights=[1.0, True]),
+    "string-in-floats": lambda t: _edit(t, ilr=["1.0"]),
+    "nan": lambda t: _edit(t, cond_number=float("nan")),
+    "inf-in-array": lambda t: _edit(t, ldr=[1.0, float("inf")]),
+    "huge-int": lambda t: t.replace('"losses":[', '"losses":[' + "9" * 400 + ",", 1),
+    "array-as-object": lambda t: _edit(t, rl={}),
+    "null-float": lambda t: _edit(t, ilr_std=None),
+    "float-iter": lambda t: _edit(t, iter=3.0),
+    "bool-seed": lambda t: _edit(t, seed=False),
+    "int-run-id": lambda t: _edit(t, run_id=1),
+    "non-string-flag": lambda t: _edit(t, degenerate_flags=[None]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+@pytest.mark.parametrize("line", [1, 64, 65, 130, 200])
+def test_columns_reject_a_malformed_line_as_the_line_parser_does(tmp_path, case, line):
+    texts = _texts(200)
+    later_error = _edit(texts[line - 1], weights="later error")
+    texts[line - 1] = _MALFORMED[case](texts[line - 1])
+    texts.insert(line + 5, later_error)
+    texts.insert(10, "")        # a blank line: numbers stay physical
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(texts) + "\n", encoding="utf-8")
+    error = _assert_reads_agree(path)
+    number = line + (line > 10)
+    assert error[0] == "TraceParseError" and error[1].startswith(f"line {number}: ")
+
+
+@pytest.mark.parametrize("bad_byte_line", [4, 60, 150])
+def test_columns_meet_undecodable_text_where_read_trace_does(tmp_path, bad_byte_line):
+    # A line fails before an undecodable byte, within the same read-ahead
+    # block (and, for line 4, the same decoding chunk) or after it.
+    texts = _texts(200)
+    texts[2] = "{broken"
+    data = "\n".join(texts).encode("utf-8").split(b"\n")
+    data[bad_byte_line - 1] = data[bad_byte_line - 1].replace(b"run-", b"\xff", 1)
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b"\n".join(data) + b"\n")
+    error = _assert_reads_agree(path)
+    assert error[0] == ("UnicodeDecodeError" if bad_byte_line == 4 else "TraceParseError")
 
 
 # ---------------------------------------------------------------------------
