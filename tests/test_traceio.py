@@ -273,11 +273,8 @@ def _assert_reads_agree(path, names=TRACE_FIELDS):
 def test_columns_equal_the_parsed_lines_of_a_written_trace(tmp_path, argv):
     path = tmp_path / "run.jsonl"
     assert cli.main(["run", *argv, "--trace", str(path)]) == 0
+    _assert_reads_agree(path)
     columns = read_trace_columns(path, TRACE_FIELDS)
-    lines = read_trace(path)
-    for name in TRACE_FIELDS:
-        assert columns[name] == [getattr(line, name) for line in lines], name
-    assert repr(columns) == _assert_reads_agree(path)
     # Any subset, in any order, holds the same entries.
     assert read_trace_columns(path, ("rl_std", "iter")) == {
         "rl_std": columns["rl_std"], "iter": columns["iter"]}
