@@ -52,7 +52,7 @@ from .scheduler import (
     run_fixed_scalarization,
     run_weight_schedule,
 )
-from .traceio import TraceLine, config_hash, iter_trace, read_trace_columns, write_trace
+from .traceio import TRACE_FIELDS, config_hash, iter_trace, read_trace_columns, write_trace
 
 logger = logging.getLogger(__name__)
 
@@ -209,12 +209,13 @@ _TRAJECTORY_COLUMNS = ("gms_mean", "gcs_mean", "cond_number", "ilr_std", "rl_std
 
 
 def _run_mean_metrics(columns: dict) -> dict:
-    """The SUMMARY_METRICS means of the _TRAJECTORY_COLUMNS; a mean of a
-    column that is null on every row is None."""
+    """The SUMMARY_METRICS means of the _TRAJECTORY_COLUMNS, whose nulls are
+    None or NaN; a mean of a column that is null on every row is None."""
     means = {}
     for metric, name in zip(SUMMARY_METRICS, _TRAJECTORY_COLUMNS):
-        values = [v for v in columns[name] if v is not None]
-        means[metric] = float(np.mean(values)) if values else None
+        values = np.array(columns[name], dtype=float)     # None becomes NaN
+        values = values[~np.isnan(values)]
+        means[metric] = float(values.mean()) if values.size else None
     return means
 
 
@@ -238,7 +239,7 @@ def execute_run(cfg: RunConfig) -> tuple[dict, TrainingRun | None]:
             cfg.total_iters)
 
     baselines, baseline_mode = compute_baselines(problem, cfg)
-    summary: dict = {
+    summary: dict = {              # the trace's metadata fields, then the results
         "run_id": cfg.resolved_run_id(),
         "method": cfg.method,
         "cost_kind": cfg.cost_kind if cfg.method == "autoscale" else "",
@@ -263,21 +264,8 @@ def execute_run(cfg: RunConfig) -> tuple[dict, TrainingRun | None]:
     summary["final_weights"] = (None if final_weight is None
                                 else [float(v) for v in final_weight.w])
     if run is not None:
-        summary.update(_run_mean_metrics(
-            {name: [getattr(r, name) for r in run.records] for name in _TRAJECTORY_COLUMNS}))
+        summary.update(_run_mean_metrics(run.metrics))
     return summary, run
-
-
-def trace_lines_for_run(run: TrainingRun, cfg: RunConfig):
-    meta = (cfg.resolved_run_id(), cfg.method,
-            cfg.cost_kind if cfg.method == "autoscale" else "",
-            cfg.seed, cfg.semantic_hash())
-    # Row by row: whole-column .tolist() added ≈0.9 MB of peak RSS on mlp-k8.
-    for i, r in enumerate(run.records):
-        yield TraceLine(*meta, r.iteration, r.weights, run.losses[i].tolist(),
-                        run.grad_norms[i].tolist(), run.gram_upper[i].tolist(),
-                        r.gms_mean, r.gcs_mean, r.cond_number, r.ilr, r.ilr_std,
-                        r.ldr, r.rl, r.rl_std, r.degenerate_flags)
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
@@ -326,7 +314,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     summary, run = execute_run(cfg)
     if args.trace and run is not None:
-        n = write_trace(args.trace, trace_lines_for_run(run, cfg))
+        n = write_trace(args.trace, [summary[f] for f in TRACE_FIELDS[:5]], run.columns)
         print(f"trace: {args.trace} ({n} lines)")
     elif args.trace:
         print("trace: skipped (single-task baselines produce no joint trace)")
@@ -356,7 +344,7 @@ def _sweep_member(payload: tuple) -> dict:
     summary, run = execute_run(cfg)
     if trace_dir:
         path = os.path.join(trace_dir, f"{cfg.resolved_run_id()}.jsonl")
-        write_trace(path, trace_lines_for_run(run, cfg))
+        write_trace(path, [summary[f] for f in TRACE_FIELDS[:5]], run.columns)
         summary["trace_path"] = path
     return summary
 

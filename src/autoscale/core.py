@@ -12,8 +12,7 @@ eagerly, so a constructed value is always safe to share across threads.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -248,10 +247,13 @@ def loss_faults(losses: np.ndarray, initial: np.ndarray, prev: np.ndarray) -> li
 
 def raise_first_fault(faults) -> None:
     """Raise the first failed check of the first failing row, as building the
-    rows' snapshots one at a time would."""
+    rows' snapshots or records one at a time would.  A message may be a
+    function of the failing row."""
     failing = [(int(rows.argmax()), n) for n, (rows, _) in enumerate(faults) if rows.any()]
     if failing:
-        raise ValueError(faults[min(failing)[1]][1])
+        row, n = min(failing)
+        message = faults[n][1]
+        raise ValueError(message if isinstance(message, str) else message(row))
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,21 +355,29 @@ class MetricRecord:
     degenerate_flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.iteration < 0:
-            raise ValueError("iteration must be nonnegative")
-        if self.gms_mean is not None and not 0.0 <= self.gms_mean <= 1.0:
-            raise ValueError(f"gms_mean out of [0, 1]: {self.gms_mean}")
-        if self.gcs_mean is not None and not -1.0 <= self.gcs_mean <= 1.0:
-            raise ValueError(f"gcs_mean out of [-1, 1]: {self.gcs_mean}")
-        if not self.cond_number >= 1.0:
-            raise ValueError(f"cond_number must be >= 1, got {self.cond_number}")
-        if self.rl and abs(sum(self.rl) - 1.0) > 1e-12:
-            raise ValueError(f"relative losses must sum to 1, got {sum(self.rl)!r}")
         for name in ("ilr", "ldr", "rl", "weights", "degenerate_flags"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not all(map(math.isfinite, (self.cond_number, self.ilr_std, self.rl_std,
-                                       *self.ilr, *self.ldr, *self.rl, *self.weights))):
-            bad = [name for name in ("cond_number", "ilr_std", "rl_std", "ilr", "ldr",
-                                     "rl", "weights")
-                   if not np.isfinite(getattr(self, name)).all()]
-            raise ValueError(f"metric record values must be finite: {', '.join(bad)}")
+        # np.array maps a None mean to NaN, the null of the metric columns.
+        raise_first_fault(record_faults({f.name: np.array([getattr(self, f.name)], dtype=float)
+                                         for f in fields(self)[:-1]}))
+
+
+def record_faults(columns: dict) -> list:
+    """(failing rows, message) of each MetricRecord check, in order, over
+    stacked columns named as its fields, NaN standing for a null pair mean.
+    A message that quotes the failing value is a function of the row."""
+    gms, gcs, cond, rl = (columns[n] for n in ("gms_mean", "gcs_mean", "cond_number", "rl"))
+    # Left to right from zero, as sum() over a row adds (before Python 3.12).
+    total = sum(rl.T, np.zeros(len(rl)))
+    names = ("cond_number", "ilr_std", "rl_std", "ilr", "ldr", "rl", "weights")
+    finite = [np.isfinite(columns[n]).all(axis=tuple(range(1, columns[n].ndim))) for n in names]
+    return [
+        (columns["iteration"] < 0, "iteration must be nonnegative"),
+        ((gms < 0.0) | (gms > 1.0), lambda r: f"gms_mean out of [0, 1]: {gms[r]}"),
+        ((gcs < -1.0) | (gcs > 1.0), lambda r: f"gcs_mean out of [-1, 1]: {gcs[r]}"),
+        (~(cond >= 1.0), lambda r: f"cond_number must be >= 1, got {cond[r]}"),
+        ((np.abs(total - 1.0) > 1e-12) & (rl.shape[1] > 0),
+         lambda r: f"relative losses must sum to 1, got {float(total[r])!r}"),
+        (~np.logical_and.reduce(finite), lambda r: "metric record values must be finite: "
+         + ", ".join(n for n, ok in zip(names, finite) if not ok[r])),
+    ]

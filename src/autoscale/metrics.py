@@ -15,13 +15,15 @@ compressed snapshot is enough.  Near-singular Gram matrices are floored at
 ``COND_EPS_LAMBDA * lambda_max`` and the flooring is flagged.
 
 A run records its iterations through :func:`metric_records`: one vectorized
-pass over a block of stacked rows validates them as the snapshot types would
-and computes every metric column; :func:`metric_record` is its one-row case.
+pass over a block of stacked rows validates them as the snapshot and record
+types would and computes every metric column; :func:`metric_record` is its
+one-row case, returned as a :class:`MetricRecord`.
 The per-snapshot functions define each metric one value at a time.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +37,7 @@ from .core import (
     gradient_faults,
     loss_faults,
     raise_first_fault,
+    record_faults,
 )
 
 #: Relative floor applied to the smallest Gram eigenvalue before the ratio.
@@ -186,15 +189,19 @@ def task_std(values) -> float:
 
 
 def metric_records(norms, grams, losses, initial_losses, prev_losses, weights,
-                   iterations) -> list[MetricRecord]:
-    """Validate stacked snapshot rows and assemble one metric record per row.
+                   iterations) -> dict:
+    """Validate stacked snapshot rows and compute their metric columns.
 
     Row n holds iteration ``iterations[n]``: gradient ``norms`` (B, K),
     snapshot ``grams`` (B, K, K), task ``losses`` and ``prev_losses`` (B, K),
     ``initial_losses`` (K,) or (B, K) and the ``weights`` (B, K) in effect.
-    The first row failing a GradientSnapshot or LossSnapshot check raises the
-    ValueError its snapshots would.  Degenerate pairs are left out of the pair
-    means; ``degenerate_flags`` lists them (magnitude, then cosine), then a
+    Returns float arrays keyed by trace field name: (B,) ``gms_mean`` and
+    ``gcs_mean`` (NaN where every pair was degenerate), ``cond_number``,
+    ``ilr_std`` and ``rl_std``; (B, K) ``ilr``, ``ldr`` and ``rl``; plus
+    ``degenerate_flags``, one tuple per row.  The first row failing a
+    GradientSnapshot, LossSnapshot or MetricRecord check raises the
+    ValueError building those would.  Degenerate pairs are left out of the
+    pair means; the flags list them (magnitude, then cosine), then a
     degenerate or floored condition number, descending rate or relative loss.
     """
     norms, grams, losses, prev, weights = (
@@ -202,8 +209,8 @@ def metric_records(norms, grams, losses, initial_losses, prev_losses, weights,
         for a in (norms, grams, losses, prev_losses, weights))
     b, k = norms.shape
     initial = np.broadcast_to(np.asarray(initial_losses, dtype=float), (b, k))
-    iterations = [int(t) for t in iterations]
-    first = np.array([t == 0 for t in iterations])
+    iterations = np.asarray(iterations)
+    first = iterations == 0
     iu, ju = np.triu_indices(k, 1)
     n_i, n_j = norms[:, iu], norms[:, ju]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -218,7 +225,7 @@ def metric_records(norms, grams, losses, initial_losses, prev_losses, weights,
     raise_first_fault(faults)
 
     flags = [() if k >= 2 else ("pair metrics skipped: single task",)] * b
-    pair_means = [[None] * b] * 2
+    pair_means = [np.full(b, np.nan)] * 2
     # Python's max(-1, x) and min(1, x), NaN handling included.
     cos = np.where(cos > -1.0, cos, -1.0)
     for n, (values, valid, flag) in enumerate((
@@ -229,10 +236,10 @@ def metric_records(norms, grams, losses, initial_losses, prev_losses, weights,
     ) if k >= 2 else ()):
         values = np.where(values < 1.0, values, 1.0)
         # Over a C-contiguous array each row sums in the order of a 1-d mean.
-        pair_means[n] = means = np.ascontiguousarray(values).mean(axis=1).tolist()
+        pair_means[n] = means = np.ascontiguousarray(values).mean(axis=1)
         for r in np.flatnonzero(~valid.all(axis=1)):
             kept = values[r][valid[r]]
-            means[r] = float(kept.mean()) if kept.size else None
+            means[r] = kept.mean() if kept.size else np.nan
             flags[r] += tuple(flag.format(f"{i},{j}") for i, j in zip(iu[~valid[r]], ju[~valid[r]]))
 
     kappa, floored = kappa_from_grams(grams)
@@ -252,17 +259,28 @@ def metric_records(norms, grams, losses, initial_losses, prev_losses, weights,
         ilr_std = np.std(ilr, axis=1) if k >= 2 else np.zeros(b)
     for r in np.flatnonzero(~np.isfinite(ilr_std)):
         ilr_std[r] = task_std(ilr[r])
-    cond = np.where(np.isnan(kappa), 1.0, kappa).tolist()
-    return [MetricRecord(*row) for row in zip(
-        iterations, *pair_means, cond, ilr.tolist(), ilr_std.tolist(), ldr.tolist(),
-        rl.tolist(), np.std(rl, axis=1).tolist(), weights.tolist(), flags)]
+    columns = {"gms_mean": pair_means[0], "gcs_mean": pair_means[1],
+               "cond_number": np.where(np.isnan(kappa), 1.0, kappa), "ilr": ilr,
+               "ilr_std": ilr_std, "ldr": ldr, "rl": rl, "rl_std": np.std(rl, axis=1)}
+    raise_first_fault(record_faults({"iteration": iterations, "weights": weights, **columns}))
+    columns["degenerate_flags"] = flags
+    return columns
+
+
+def record_at(columns: dict, row: int, iteration: int, weights) -> MetricRecord:
+    """Row ``row`` of :func:`metric_records` columns as the MetricRecord of
+    ``iteration`` under ``weights``; a NaN pair mean becomes None."""
+    values = {f.name: columns[f.name][row].tolist() for f in fields(MetricRecord)[1:-2]}
+    values.update({name: None for name in ("gms_mean", "gcs_mean") if math.isnan(values[name])})
+    return MetricRecord(iteration=iteration, weights=weights,
+                        degenerate_flags=columns["degenerate_flags"][row], **values)
 
 
 def metric_record(grad_snapshot: GradientSnapshot,
                   loss_snapshot: LossSnapshot,
                   weights) -> MetricRecord:
-    """:func:`metric_records` of one row; ``weights`` is the WeightVector in
-    effect, or a plain length-K array for single-task runs."""
+    """:func:`metric_records` of one row, as a MetricRecord; ``weights`` is
+    the WeightVector in effect, or a plain length-K array for single-task runs."""
     if grad_snapshot.iteration != loss_snapshot.iteration:
         raise ValueError(
             f"snapshot iterations differ: gradient {grad_snapshot.iteration} "
@@ -273,7 +291,8 @@ def metric_record(grad_snapshot: GradientSnapshot,
     w = weights.w if isinstance(weights, WeightVector) else np.asarray(weights, float)
     if w.shape != (k,):
         raise ValueError(f"weights must have length {k}")
-    return metric_records(
+    columns = metric_records(
         grad_snapshot.norms[None], grad_snapshot.gram[None],
         loss_snapshot.losses[None], loss_snapshot.initial_losses,
-        loss_snapshot.prev_losses[None], w[None], [grad_snapshot.iteration])[0]
+        loss_snapshot.prev_losses[None], w[None], [grad_snapshot.iteration])
+    return record_at(columns, 0, grad_snapshot.iteration, w.tolist())

@@ -27,7 +27,6 @@ from .core import (
     DivergenceError,
     GradientSnapshot,
     LossSnapshot,
-    MetricRecord,
     WeightVector,
     WindowBuffer,
     compress_grams,
@@ -35,7 +34,7 @@ from .core import (
     uniform_weights,
 )
 from .costs import CostKind, quadratic_form, window_cost
-from .metrics import metric_record, metric_records
+from .metrics import metric_record, metric_records, record_at
 from .solver import SolverReport, project_feasible, solve_general, solve_quadratic
 
 logger = logging.getLogger(__name__)
@@ -113,12 +112,13 @@ class TrainingRun:
 
     ``window_weights`` holds one solved weight per exploration window, and
     ``final_weight`` is None only for single-task runs, where the feasible
-    weight-vector type (K >= 2) does not apply.
+    weight-vector type (K >= 2) does not apply.  ``metrics`` holds the
+    :func:`metrics.metric_records` columns of every iteration.
     """
 
     theta_final: np.ndarray
     final_losses: tuple[float, ...]
-    records: tuple[MetricRecord, ...]
+    metrics: dict
     window_weights: tuple[WeightVector, ...]
     final_weight: WeightVector | None
     weights: np.ndarray      # (T, K)
@@ -126,6 +126,13 @@ class TrainingRun:
     grad_norms: np.ndarray   # (T, K)
     gram_upper: np.ndarray   # (T, K*(K+1)/2)
     solver_reports: tuple[SolverReport, ...] = ()
+
+    @property
+    def columns(self) -> dict:
+        """The per-iteration trace fields by name, ``iter`` to ``degenerate_flags``."""
+        return {"iter": np.arange(len(self.weights)), "weights": self.weights,
+                "losses": self.losses, "grad_norms": self.grad_norms,
+                "gram_upper": self.gram_upper, **self.metrics}
 
 
 def aggregate_final_weight(window_weights: Sequence[WeightVector],
@@ -154,7 +161,7 @@ class _Descent:
         self.problem = problem
         self.theta = np.array(problem.initial_theta(), dtype=float)
         self.t = 0
-        self.records: list[MetricRecord] = []
+        self.metrics: dict = {"degenerate_flags": []}
         self.losses = np.empty((total_iters, k))
         self.weights = np.empty((total_iters, k))
         self.grad_norms = np.empty((total_iters, k))
@@ -202,9 +209,14 @@ class _Descent:
             raise DivergenceError(
                 f"training diverged at iteration {t}: non-finite task losses or "
                 f"gradients; {last}; weights {self.weights[t].tolist()}")
-        initial = self.losses[0]
-        self.records += metric_records(norms, grams, losses, initial, prev,
-                                       self.weights[lo:hi], range(lo, hi))
+        block = metric_records(norms, grams, losses, self.losses[0], prev,
+                               self.weights[lo:hi], range(lo, hi))
+        self.metrics["degenerate_flags"] += block.pop("degenerate_flags")
+        for name, values in block.items():
+            column = self.metrics.get(name)
+            if column is None:
+                column = self.metrics[name] = np.empty((len(self.losses), *values.shape[1:]))
+            column[lo:hi] = values
         self.grad_norms[lo:hi] = norms
         self.gram_upper[lo:hi] = grams[self._upper]
 
@@ -224,7 +236,8 @@ class _Descent:
     def finish(self, window_weights, final_weight, reports=()) -> TrainingRun:
         final_losses = tuple(float(v) for v in self.problem.task_losses(self.theta))
         return TrainingRun(theta_final=self.theta, final_losses=final_losses,
-                           records=tuple(self.records),
+                           metrics={**self.metrics, "degenerate_flags":
+                                    tuple(self.metrics["degenerate_flags"])},
                            window_weights=tuple(window_weights), final_weight=final_weight,
                            weights=self.weights, losses=self.losses,
                            grad_norms=self.grad_norms, gram_upper=self.gram_upper,
@@ -250,7 +263,7 @@ def run_autoscale(problem, config: AutoScaleConfig) -> TrainingRun:
         grad = GradientSnapshot(norms=window.norms[-1], gram=window.grams[-1], iteration=t)
         loss = LossSnapshot(losses=window.losses[-1], initial_losses=descent.losses[0],
                             prev_losses=descent.losses[max(t - 1, 0)], iteration=t)
-        if metric_record(grad, loss, current) != descent.records[t]:
+        if metric_record(grad, loss, current) != record_at(descent.metrics, t, t, current.w):
             logger.warning("window %d: iteration %d records differently alone "
                            "than in its block", w_index, t)
         if config.cost_kind.is_quadratic:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -149,15 +150,52 @@ def parse_trace_line(text: str, line_number: int | None = None) -> TraceLine:
     return TraceLine(**payload)
 
 
-def write_trace(path, lines: Iterable[TraceLine]) -> int:
-    """Write lines to ``path``; returns the number written."""
-    count = 0
+def write_trace(path, meta: Sequence, columns: Mapping) -> int:
+    """Write the trace of ``meta``, the five metadata values, and ``columns``,
+    the fields ``iter`` to ``degenerate_flags`` by name: (T,) or (T, n) arrays
+    with NaN for a null pair mean, and a tuple of flags per row.  Returns T.
+
+    Every line fills one ``%`` template, a block of ``_BLOCK_LINES`` rows at
+    a time; ``%r`` of a float is what ``json.dumps`` writes, and the first
+    line must equal :func:`serialize_trace_line` of its values.  A non-finite
+    value other than a null raises ValueError naming the field.
+    """
+    floats = {name: np.asarray(columns[name], dtype=float) for name in TRACE_FIELDS[6:-1]}
+    template = json.dumps(dict(zip(TRACE_FIELDS, meta)), separators=(",", ":"))[:-1]
+    template = template.replace("%", "%%") + ',"iter":%d'
+    owners = []                       # the field of each column of a stacked block
+    for name, column in floats.items():
+        slot = "%s" if name in _OPTIONAL_FLOATS else "%r"
+        width = column.shape[1] if name in _FLOAT_TUPLES else 0
+        template += f',"{name}":' + (f"[{','.join([slot] * width)}]" if width else slot)
+        owners += [name] * max(width, 1)
+    template += ',"degenerate_flags":%s}\n'
+    nulls = [i for i, name in enumerate(owners) if name in _OPTIONAL_FLOATS]
+    iters, flags = np.asarray(columns["iter"]), columns["degenerate_flags"]
+    flag_texts = {f: json.dumps(f, separators=(",", ":")) for f in set(flags)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(serialize_trace_line(line))
-            fh.write("\n")
-            count += 1
-    return count
+        for lo in range(0, len(iters), _BLOCK_LINES):
+            hi = min(lo + _BLOCK_LINES, len(iters))
+            block = np.hstack([c[lo:hi].reshape(hi - lo, -1) for c in floats.values()])
+            null, bad = np.isnan(block[:, nulls]), ~np.isfinite(block)
+            bad[:, nulls] = np.isinf(block[:, nulls])
+            if bad.any():
+                r, c = np.argwhere(bad)[0]
+                raise ValueError(f"trace field {owners[c]!r} must be finite, "
+                                 f"got {float(block[r, c])!r} at row {lo + r}")
+            rows = block.tolist()
+            for r, c in np.argwhere(null):
+                rows[r][nulls[c]] = "null"
+            texts = [template % (t, *row, flag_texts[f])
+                     for t, row, f in zip(iters[lo:hi].tolist(), rows, flags[lo:hi])]
+            if lo == 0:
+                first = {n: None if n in _OPTIONAL_FLOATS and math.isnan(c[0]) else c[0].tolist()
+                         for n, c in floats.items()}
+                if texts[0] != serialize_trace_line(TraceLine(
+                        *meta, int(iters[0]), **first, degenerate_flags=flags[0])) + "\n":
+                    raise RuntimeError("trace writer: first line differs from serialize_trace_line")
+            fh.write("".join(texts))
+    return len(iters)
 
 
 def iter_trace(path) -> Iterator[TraceLine]:

@@ -28,6 +28,7 @@ from autoscale import (
     kappa_from_grams,
     loss_descending_rate,
     relative_loss,
+    serialize_trace_line,
     snapshot_from_gradients,
     task_std,
 )
@@ -117,6 +118,17 @@ def random_trace_line(rng, k=3):
             str(s) for s in rng.choice(["a flag", "another: (0,1)"],
                                        size=rng.integers(0, 3))),
     )
+
+
+def write_trace_lines(path, lines):
+    """Write TraceLines one ``serialize_trace_line`` each, as the library's
+    writer did before it formatted columns; returns the number written."""
+    count = 0
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(serialize_trace_line(line) + "\n")
+            count += 1
+    return count
 
 
 def trace_lines_identical(a, b):
@@ -325,6 +337,35 @@ def oracle_metric_record(grad, loss, weights):
         ldr=tuple(float(v) for v in ldr), rl=tuple(float(v) for v in rl),
         rl_std=task_std(rl) if k >= 2 else 0.0,
         weights=tuple(float(v) for v in w), degenerate_flags=tuple(flags))
+
+
+def metric_columns_match(columns, records):
+    """Whether row n of ``metric_records`` columns equals ``records[n]`` bit
+    for bit in every metric field, a NaN pair mean standing for None."""
+    if len(columns["degenerate_flags"]) != len(records):
+        return False
+    for n, record in enumerate(records):
+        for name in ("gms_mean", "gcs_mean", "cond_number", "ilr", "ilr_std", "ldr",
+                     "rl", "rl_std"):
+            want, got = getattr(record, name), columns[name][n].tolist()
+            if want is None:
+                if not math.isnan(got):
+                    return False
+            elif isinstance(want, tuple):
+                if len(got) != len(want) or not all(map(bits_equal, got, want)):
+                    return False
+            elif not bits_equal(got, want):
+                return False
+        if tuple(columns["degenerate_flags"][n]) != record.degenerate_flags:
+            return False
+    return True
+
+
+def metric_columns_identical(a, b):
+    """Bitwise equality of two mappings of metric columns, flags included."""
+    return a.keys() == b.keys() and all(
+        tuple(a[n]) == tuple(b[n]) if n == "degenerate_flags"
+        else a[n].shape == b[n].shape and a[n].tobytes() == b[n].tobytes() for n in a)
 
 
 def finite_difference_gradients(problem, theta: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import autoscale as a
-from autoscale.cli import RunConfig, execute_run, trace_lines_for_run
+from autoscale.cli import RunConfig, execute_run
 
 from helpers import (
     constant_window,
@@ -263,8 +263,8 @@ def test_criterion_07_metric_trend(report):
     for wv in samples:
         run = a.run_fixed_scalarization(problem, wv, 2500)
         dms.append(_delta_m_vs_optima(run, problem))
-        gms_means.append(float(np.mean([r.gms_mean for r in run.records])))
-        cond_means.append(float(np.mean([r.cond_number for r in run.records])))
+        gms_means.append(float(np.mean(run.metrics["gms_mean"])))
+        cond_means.append(float(np.mean(run.metrics["cond_number"])))
     rho_gms = a.spearman_correlation(np.array(dms), np.array(gms_means))
     rho_cond = a.spearman_correlation(np.array(dms), np.array(cond_means))
     elapsed = time.perf_counter() - t0
@@ -363,9 +363,9 @@ def test_criterion_10_reproducible_io(report, tmp_path):
                     run_id="repro")
     paths = []
     for name in ("first.jsonl", "second.jsonl"):
-        _, run = execute_run(cfg)
+        summary, run = execute_run(cfg)
         path = tmp_path / name
-        a.write_trace(path, trace_lines_for_run(run, cfg))
+        a.write_trace(path, [summary[f] for f in a.TRACE_FIELDS[:5]], run.columns)
         paths.append(path)
     identical = paths[0].read_bytes() == paths[1].read_bytes()
 

@@ -8,9 +8,10 @@ from dataclasses import fields
 
 import pytest
 
-from autoscale import TraceLine, cli, read_trace, write_trace
+from autoscale import TraceLine, cli, read_trace
 from autoscale.cli import RunConfig, main
 
+from helpers import write_trace_lines
 
 QUAD = ["--problem", "quadratic", "--k", "2", "--dim", "3",
         "--scales", "1,2", "--seed", "0"]
@@ -534,7 +535,7 @@ def test_analyze_smooth_is_a_trailing_mean(tmp_path):
                        0.0, (1.0, 1.0), (0.5, 0.5), 0.0, ())
              for i, g in enumerate(gms)]
     trace = tmp_path / "s.jsonl"
-    write_trace(trace, lines)
+    write_trace_lines(trace, lines)
     assert main(["analyze", "--traces", str(trace), "--smooth", "3",
                  "--out-dir", str(tmp_path / "an")]) == 0
     # Trailing means over the last three iterations, skipping nulls; a

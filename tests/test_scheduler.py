@@ -1,4 +1,5 @@
 """Two-phase schedule: windowed exploration, aggregation, fixed-weight phase."""
+import logging
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from autoscale import (
     aggregate_final_weight,
     make_quadratic_problem,
     make_weight_vector,
+    metric_record,
     random_loss_weighting_step,
     run_autoscale,
     run_fixed_scalarization,
@@ -23,8 +25,9 @@ from autoscale import (
     window_cost,
 )
 from autoscale import scheduler
+from autoscale.metrics import record_at
 
-from helpers import loss_snap, window
+from helpers import loss_snap, metric_columns_identical, metric_columns_match, window
 
 
 def _small_problem(k=2):
@@ -124,8 +127,9 @@ def test_run_shapes_and_counts():
     problem = _small_problem()
     cfg = _phase_config()
     run = run_autoscale(problem, cfg)
-    assert len(run.records) == cfg.total_iters
-    assert [r.iteration for r in run.records] == list(range(cfg.total_iters))
+    assert len(run.metrics["degenerate_flags"]) == cfg.total_iters
+    assert all(len(column) == cfg.total_iters for column in run.metrics.values())
+    assert run.columns["iter"].tolist() == list(range(cfg.total_iters))
     assert run.losses.shape == (300, 2)
     assert run.grad_norms.shape == (300, 2)
     assert run.gram_upper.shape == (300, 3)
@@ -250,6 +254,25 @@ def test_runs_are_deterministic():
     assert np.array_equal(a.theta_final, b.theta_final)
     assert a.final_losses == b.final_losses
     assert np.array_equal(a.weights, b.weights)
+    assert metric_columns_identical(a.metrics, b.metrics)
+
+
+def test_block_rows_record_as_they_do_alone(caplog):
+    problem = _small_problem(3)
+    cfg = _phase_config(cost_kind="low-cond", snapshot_stride=3)
+    with caplog.at_level(logging.WARNING, logger="autoscale.scheduler"):
+        run = run_autoscale(problem, cfg)
+    assert not caplog.records          # the per-window re-check agreed
+    i, j = np.triu_indices(3)
+    for t in (0, 1, 19, 63, 64, 65, 299):
+        gram = np.empty((3, 3))
+        gram[i, j] = gram[j, i] = run.gram_upper[t]
+        grad = GradientSnapshot(norms=run.grad_norms[t], gram=gram, iteration=t)
+        loss = LossSnapshot(losses=run.losses[t], initial_losses=run.losses[0],
+                            prev_losses=run.losses[max(t - 1, 0)], iteration=t)
+        alone = metric_record(grad, loss, run.weights[t])
+        assert alone == record_at(run.metrics, t, t, run.weights[t])
+        assert metric_columns_match({n: c[t:t + 1] for n, c in run.metrics.items()}, [alone])
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -260,7 +283,7 @@ def test_recording_block_size_leaves_runs_unchanged(monkeypatch, block):
     want = run_autoscale(problem, cfg)
     monkeypatch.setattr(scheduler, "_RECORD_BLOCK", block)
     got = run_autoscale(problem, cfg)
-    assert got.records == want.records
+    assert metric_columns_identical(got.metrics, want.metrics)
     assert np.array_equal(got.theta_final, want.theta_final)
     for name in ("weights", "losses", "grad_norms", "gram_upper"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -357,4 +380,5 @@ def test_single_task_training_matches_contraction():
     want = 0.5 * s * (r * (1 - h * s) ** T) ** 2 + offset
     assert run.final_losses[0] == pytest.approx(want, rel=1e-10)
     assert run.final_weight is None
-    assert run.records[0].gms_mean is None
+    assert np.isnan(run.metrics["gms_mean"]).all() and np.isnan(run.metrics["gcs_mean"]).all()
+    assert run.metrics["degenerate_flags"] == (("pair metrics skipped: single task",),) * T

@@ -1,5 +1,7 @@
 """JSONL trace format: exact round trips, strict parsing, stable hashing."""
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from autoscale import (
     serialize_trace_line,
     write_trace,
 )
-from autoscale import cli
-from autoscale.cli import RunConfig, execute_run, trace_lines_for_run
+from autoscale import cli, traceio
+from autoscale.cli import RunConfig, execute_run
 from autoscale.traceio import iter_trace, read_trace_columns
 
 from helpers import (
@@ -90,22 +92,25 @@ def test_field_order_is_fixed():
     assert tuple(pairs) == TRACE_FIELDS
 
 
-def test_trace_lines_for_run_carry_everything():
+def test_written_trace_lines_carry_the_run_columns(tmp_path):
     cfg = RunConfig(method="unitary", problem="quadratic", k=2, dim=3,
                     scales=(1.0, 2.0), total_iters=20, seed=3)
-    _, run = execute_run(cfg)
-    lines = list(trace_lines_for_run(run, cfg))
-    assert len(lines) == len(run.records) == 20
-    for i, (line, rec) in enumerate(zip(lines, run.records)):
+    summary, run = execute_run(cfg)
+    path = tmp_path / "run.jsonl"
+    assert write_trace(path, [summary[f] for f in TRACE_FIELDS[:5]], run.columns) == 20
+    lines = read_trace(path)
+    columns = run.columns
+    assert len(lines) == len(run.metrics["degenerate_flags"]) == 20
+    for i, line in enumerate(lines):
         assert (line.run_id, line.method, line.cost_kind, line.seed, line.config_hash) == (
             cfg.resolved_run_id(), "unitary", "", 3, cfg.semantic_hash())
-        assert line.iter == rec.iteration
-        for name in ("weights", "gms_mean", "gcs_mean", "cond_number", "ilr", "ilr_std",
-                     "ldr", "rl", "rl_std", "degenerate_flags"):
-            assert getattr(line, name) == getattr(rec, name), name
-        assert line.losses == tuple(run.losses[i])
-        assert line.grad_norms == tuple(run.grad_norms[i])
-        assert line.gram_upper == tuple(run.gram_upper[i])
+        assert line.iter == columns["iter"][i] == i
+        for name in TRACE_FIELDS[6:-1]:
+            want = columns[name][i].tolist()
+            got = getattr(line, name)
+            assert all(map(_bits_equal, got, want)) if isinstance(want, list) else (
+                _bits_equal(got, want)), name
+        assert line.degenerate_flags == columns["degenerate_flags"][i]
         assert all(type(v) is float for v in line.losses + line.gram_upper)
         assert _lines_identical(line, parse_trace_line(serialize_trace_line(line)))
 
@@ -208,9 +213,9 @@ def test_parse_accepts_null_means():
 
 def test_write_read_and_blank_line_handling(tmp_path):
     rng = np.random.default_rng(4)
-    lines = [_random_line(rng) for _ in range(20)]
+    meta, columns, lines = _random_columns(rng, 3, 20)
     path = tmp_path / "run.jsonl"
-    assert write_trace(path, lines) == 20
+    assert write_trace(path, meta, columns) == 20
     back = read_trace(path)
     assert len(back) == 20
     assert all(_lines_identical(a, b) for a, b in zip(lines, back))
@@ -234,11 +239,87 @@ def test_read_reports_one_based_line_numbers(tmp_path):
 
 def test_writes_are_byte_identical(tmp_path):
     rng = np.random.default_rng(6)
-    lines = [_random_line(rng) for _ in range(10)]
+    meta, columns, _ = _random_columns(rng, 3, 70)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_trace(p1, lines)
-    write_trace(p2, lines)
+    write_trace(p1, meta, columns)
+    write_trace(p2, meta, columns)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the block writer against the line serializer
+# ---------------------------------------------------------------------------
+
+_NULLABLE = ("gms_mean", "gcs_mean")
+
+
+def _random_columns(rng, k, t, meta=("run", "fixed", "", 0, "0" * 16), flag_pool=((),),
+                    start=0):
+    """Trace metadata, columns of ``t`` rows at K=``k`` with edge values and
+    null pair means mixed in, and the TraceLines the columns stand for."""
+    widths = dict.fromkeys(("weights", "losses", "grad_norms", "ilr", "ldr", "rl"), k)
+    widths["gram_upper"] = k * (k + 1) // 2
+
+    def values(*shape):
+        spread = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+        return np.where(rng.random(shape) < 0.3, rng.choice(_EDGES, shape), spread)
+
+    columns = {"iter": start + np.arange(t)}
+    for name in TRACE_FIELDS[6:-1]:
+        columns[name] = values(t, widths[name]) if name in widths else values(t)
+    for name in _NULLABLE:
+        columns[name][rng.random(t) < 0.2] = np.nan
+    columns["degenerate_flags"] = [flag_pool[i] for i in rng.integers(len(flag_pool), size=t)]
+    lines = []
+    for n in range(t):
+        row = {name: columns[name][n].tolist() for name in TRACE_FIELDS[6:-1]}
+        row.update({name: None for name in _NULLABLE if np.isnan(row[name])})
+        lines.append(TraceLine(*meta, start + n, degenerate_flags=columns["degenerate_flags"][n],
+                               **row))
+    return list(meta), columns, lines
+
+
+# Text that JSON must escape or that a %-template must not read as a slot.
+_TEXT = st.text(max_size=8) | st.text(st.sampled_from('"\\%sd{}é€💥\u2028\x00 '), max_size=8)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(k=st.integers(1, 8),
+       t=st.sampled_from((1, 63, 64, 65, 128, 129)) | st.integers(1, 200),
+       meta=st.tuples(_TEXT, _TEXT, _TEXT, st.integers(-2**70, 2**70), _TEXT),
+       flag_pool=st.lists(st.lists(_TEXT, max_size=3).map(tuple), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), start=st.integers(0, 2**40))
+def test_block_writer_equals_the_line_serializer(k, t, meta, flag_pool, seed, start):
+    meta, columns, lines = _random_columns(np.random.default_rng(seed), k, t, meta,
+                                           flag_pool, start)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.jsonl")
+        assert write_trace(path, meta, columns) == t
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == "".join(serialize_trace_line(line) + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("name", TRACE_FIELDS[6:-1])
+def test_block_writer_names_a_non_finite_field(tmp_path, name, bad):
+    meta, columns, lines = _random_columns(np.random.default_rng(8), 3, 70)
+    columns[name][66] = bad          # a whole row of a per-task field
+    path = tmp_path / "t.jsonl"
+    if name in _NULLABLE and np.isnan(bad):
+        write_trace(path, meta, columns)           # NaN is the null of a pair mean
+        assert getattr(read_trace(path)[66], name) is None
+        return
+    with pytest.raises(ValueError, match=f"^trace field '{name}' must be finite, "
+                                         f"got {bad!r} at row 66$"):
+        write_trace(path, meta, columns)
+
+
+def test_block_writer_checks_its_first_line_against_the_serializer(tmp_path, monkeypatch):
+    meta, columns, _ = _random_columns(np.random.default_rng(9), 2, 5)
+    monkeypatch.setattr(traceio, "serialize_trace_line", lambda line: "{}")
+    with pytest.raises(RuntimeError, match="first line differs from serialize_trace_line"):
+        write_trace(tmp_path / "t.jsonl", meta, columns)
 
 
 # ---------------------------------------------------------------------------
