@@ -195,6 +195,8 @@ def make_quadratic_problem(k: int, d: int, scales, conflict_angle: float,
     scales = np.asarray(scales, dtype=float)
     if scales.shape != (k,):
         raise ValueError(f"scales must have length {k}")
+    if not np.all(scales > 0):          # before the default step divides by them
+        raise ValueError("scales must be strictly positive")
     rng = spawn_rng(seed, STREAM_PROBLEM)
     dirs = _equiangular_directions(k, d, conflict_angle, rng)
     centers = -dirs

@@ -90,6 +90,11 @@ _FLAG_OPTIONS = {
 }
 
 
+def _plain_name(text: str) -> bool:
+    """Whether ``text`` names a file inside a directory: no separator or NUL, not . or .."""
+    return text not in (".", "..") and not any(c in text for c in "/\\\0")
+
+
 def _kind(f) -> str:
     """A setting's annotation without ``| None``: a key of ``_PARSERS``."""
     return f.type.removesuffix(" | None")
@@ -151,6 +156,8 @@ class RunConfig:
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
         CostKind.parse(self.cost_kind)
+        if self.run_id is not None and not _plain_name(self.run_id):
+            raise ValueError(f"run_id must be one plain file-name component, got {self.run_id!r}")
         if self.method == "fixed" and self.weights is None:
             raise ValueError("method 'fixed' needs explicit weights")
 
@@ -413,6 +420,8 @@ def _summary_column(rows: list, name: str, path) -> np.ndarray:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.smooth < 1:
+        raise ValueError(f"--smooth must be an integer >= 1, got {args.smooth}")
     os.makedirs(args.out_dir, exist_ok=True)
     wrote_anything = False
 
@@ -425,6 +434,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if first is None:
                 print(f"analyze: {path} is empty", file=sys.stderr)
                 return 1
+            if not _plain_name(first.run_id):
+                raise ValueError(f"trace {path}: run id {first.run_id!r} is not one plain "
+                                 "file-name component")
             if first.run_id in paths_by_id:
                 raise ValueError(f"traces {paths_by_id[first.run_id]} and {path} share "
                                  f"run id {first.run_id!r}")
@@ -465,7 +477,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if any(r.get(metric) in ("", None) for r in rows):
                 corr_rows.append([metric, None])
                 continue
-            rho = spearman_correlation(dm, _summary_column(rows, metric, args.summary))
+            values = _summary_column(rows, metric, args.summary)
+            try:
+                rho = spearman_correlation(dm, values)
+            except ValueError as exc:       # constant, non-finite or too few values
+                print(f"analyze: warning: summary file {args.summary}: no correlation for "
+                      f"{metric!r} ({exc}); writing n/a", file=sys.stderr)
+                rho = None
             corr_rows.append([metric, rho])
         corr_path = os.path.join(args.out_dir, "correlations.csv")
         _write_csv(corr_path, ["metric", "spearman_rho_vs_delta_m"], corr_rows)

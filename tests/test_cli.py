@@ -341,6 +341,38 @@ def test_losses_past_the_square_overflow_give_a_complete_trace(tmp_path):
     assert all(math.isfinite(line.ilr_std) for line in lines)
 
 
+@pytest.mark.parametrize("scales", ["0,0,0", "1,-1,2"])
+def test_run_rejects_scales_that_are_not_positive(tmp_path, capsys, scales):
+    rc = main(["run", "--method", "unitary", "--problem", "quadratic", "--k", "3",
+               "--scales", scales, "--total-iters", "5", "--trace", str(tmp_path / "t.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: scales must be strictly positive\n"
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_run_config_file_with_zero_scales_exits_2(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"method": "unitary", "problem": "quadratic",
+                                  "scales": [0, 0, 0], "total_iters": 5}), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: scales must be strictly positive\n"
+
+
+@pytest.mark.parametrize("run_id", ["../escape", "a/b", "..", ".", "a\\b", "nul\0"])
+def test_run_id_must_be_one_plain_file_name(tmp_path, capsys, run_id):
+    with pytest.raises(ValueError, match="^run_id must be one plain file-name component, "
+                                         f"got {re.escape(repr(run_id))}$"):
+        RunConfig(method="unitary", run_id=run_id)
+    trace = tmp_path / "t.jsonl"
+    rc = main(["run", "--method", "unitary", *QUAD, "--total-iters", "5",
+               "--run-id", run_id, "--trace", str(trace)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: run_id must be one plain file-name")
+    assert not trace.exists()
+    for fine in ("run-1", "sweep-000", "a.b", "..a", "é"):
+        assert RunConfig(method="unitary", run_id=fine).resolved_run_id() == fine
+
+
 # ---------------------------------------------------------------------------
 # sweep subcommand
 # ---------------------------------------------------------------------------
@@ -550,6 +582,62 @@ def test_analyze_smooth_is_a_trailing_mean(tmp_path):
         ["5", "0.5", "", "5.0", "0.0", "0.0"],
         ["6", repr(2.0 / 3.0), "", "6.0", "0.0", "0.0"],
     ]
+
+
+@pytest.mark.parametrize("smooth", ["0", "-3"])
+def test_analyze_rejects_a_smoothing_window_below_one(tmp_path, capsys, smooth):
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", "--method", "unitary", *QUAD, "--total-iters", "5",
+                 "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "an"
+    rc = main(["analyze", "--traces", str(trace), "--smooth", smooth,
+               "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --smooth must be an integer >= 1, got {smooth}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("run_id", ["../escape", "a/b", "..", "a\\b"])
+def test_analyze_rejects_a_run_id_that_is_no_plain_file_name(tmp_path, capsys, run_id):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    for path, name in ((good, "good"), (bad, "placeholder")):
+        assert main(["run", "--method", "unitary", *QUAD, "--total-iters", "5",
+                     "--run-id", name, "--trace", str(path)]) == 0
+    # Only a hand-edited trace can carry such an id: RunConfig refuses it.
+    bad.write_text(bad.read_text(encoding="utf-8").replace(
+        '"run_id":"placeholder"', '"run_id":' + json.dumps(run_id)), encoding="utf-8")
+    capsys.readouterr()
+    out_dir = tmp_path / "an" / "out"
+    rc = main(["analyze", "--traces", str(good), str(bad), "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: trace {bad}: run id {run_id!r} is not one plain file-name component\n")
+    assert list(out_dir.iterdir()) == []
+    assert sorted(p.name for p in (tmp_path / "an").iterdir()) == ["out"]
+
+
+_SUMMARY_HEADER = "run_id,delta_m,mean_gms,mean_gcs,mean_cond,mean_ilr_std,mean_rl_std\n"
+
+
+@pytest.mark.parametrize("cond, why", [
+    (("2.0", "2.0"), "spearman correlation undefined for constant input"),
+    (("2.0", "nan"), "observations must be finite"),
+    (("inf", "2.0"), "observations must be finite"),
+])
+def test_analyze_summary_writes_na_for_an_undefined_correlation(tmp_path, capsys, cond, why):
+    summary = tmp_path / "sweep_summary.csv"
+    summary.write_text(_SUMMARY_HEADER + f"a,1.0,0.5,0.1,{cond[0]},0.1,0.3\n"
+                       f"b,2.0,0.6,0.2,{cond[1]},0.2,0.1\n", encoding="utf-8")
+    rc = main(["analyze", "--summary", str(summary), "--out-dir", str(tmp_path / "an")])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert err == (f"analyze: warning: summary file {summary}: no correlation for "
+                   f"'mean_cond' ({why}); writing n/a\n")
+    assert "  mean_cond: n/a" in out.splitlines()
+    assert _read_csv(tmp_path / "an" / "correlations.csv") == [
+        ["metric", "spearman_rho_vs_delta_m"], ["mean_gms", "1.0"], ["mean_gcs", "1.0"],
+        ["mean_cond", ""], ["mean_ilr_std", "1.0"], ["mean_rl_std", "-1.0"]]
 
 
 # ---------------------------------------------------------------------------
