@@ -14,6 +14,7 @@ from autoscale import (
     spawn_rng,
     uniform_weights,
 )
+from autoscale.core import raise_first_fault, record_faults
 
 from helpers import grad_snap, loss_snap, window
 
@@ -314,6 +315,33 @@ def test_metric_record_range_checks():
 def test_metric_record_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=f"metric record values must be finite: {field}$"):
         _record(**{field: value})
+
+
+@pytest.mark.parametrize("overrides", [
+    {"iteration": -1}, {"gms_mean": 1.5}, {"gms_mean": -0.5}, {"gcs_mean": -2.0},
+    {"cond_number": 0.5}, {"cond_number": float("nan")}, {"rl": (0.7, 0.7)},
+    {"rl": (float("inf"), 0.5)}, {"ilr_std": float("inf")},
+    {"ilr": (1.0, float("nan")), "weights": (float("inf"), 1.0)}])
+def test_record_faults_raise_what_the_first_failing_record_would(overrides):
+    with pytest.raises(ValueError) as record_error:
+        _record(**overrides)
+    rows = [dict(_record().__dict__, iteration=t) for t in range(6)]
+    rows[3].update(overrides)
+    rows[4]["iteration"] = -1          # a later row failing an earlier check
+    rows[5]["cond_number"] = 0.0
+    columns = {name: np.array([row[name] for row in rows], dtype=float)
+               for name in rows[0] if name != "degenerate_flags"}
+    with pytest.raises(ValueError) as block_error:
+        raise_first_fault(record_faults(columns))
+    assert str(block_error.value) == str(record_error.value)
+
+
+def test_metric_record_null_means_pass_the_range_checks():
+    columns = {name: np.array([value] * 2, dtype=float)
+               for name, value in _record(gms_mean=None, gcs_mean=None).__dict__.items()
+               if name != "degenerate_flags"}
+    assert np.isnan(columns["gms_mean"]).all()
+    raise_first_fault(record_faults(columns))
 
 
 def test_metric_record_coerces_tuples():

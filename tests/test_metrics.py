@@ -412,6 +412,16 @@ def test_metric_records_reject_a_row_like_its_snapshot(bad_gram, bad_norms):
     assert str(block_error.value) == str(snapshot_error.value)
 
 
+def test_metric_records_check_every_row_as_its_record_would():
+    rng = np.random.default_rng(4)
+    pairs = _degenerate_block(3, rng)
+    norms, grams, losses, initial, prev, weights, iters = _stack(pairs, np.ones(3))
+    weights[3, 1] = np.inf
+    iters[6] = -1                      # a later row failing an earlier check
+    with pytest.raises(ValueError, match="^metric record values must be finite: weights$"):
+        metric_records(norms, grams, losses, initial, prev, weights, iters)
+
+
 def test_spreads_past_the_square_overflow_stay_finite():
     """Finite losses past ~1e154 overflow the squares inside np.std."""
     values = [1.0, 1e160, 2e160]
