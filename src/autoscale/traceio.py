@@ -5,8 +5,10 @@ plus the full per-iteration observation: weights, raw losses, gradient norms,
 the Gram upper triangle (row-major), and every derived metric.  Numeric fields
 serialize with shortest-round-trip precision, so parse(serialize(line))
 reproduces the exact binary values and identical runs produce byte-identical
-files.  ``TraceLine`` converts every value once, whether it comes from a run
-or from a file.  Parsing is strict: unknown fields and non-finite numbers
+files.  ``write_trace`` writes a run's columns in blocks of lines, byte for
+byte what one ``serialize_trace_line`` per line would write.  ``TraceLine``
+converts every value once, whether it comes from a file or from Python
+values.  Parsing is strict: unknown fields and non-finite numbers
 are rejected, and a truncated or malformed line reports what is missing.
 ``read_trace_columns`` reads chosen fields as columns under the same rules,
 checking blocks of lines at once and leaving every error to
