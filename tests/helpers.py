@@ -121,8 +121,8 @@ def random_trace_line(rng, k=3):
 
 
 def write_trace_lines(path, lines):
-    """Write TraceLines one ``serialize_trace_line`` each, as the library's
-    writer did before it formatted columns; returns the number written."""
+    """Write TraceLines to ``path``, one ``serialize_trace_line`` per line;
+    returns the number written."""
     count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
