@@ -188,6 +188,27 @@ def test_parse_rejects_wrong_types():
         assert message in str(err.value)
 
 
+# Two faulty fields: the parser checks strings, integers, float arrays,
+# nullable floats, floats and then the flags, each in field order, and a
+# field's type before its finiteness; the first fault found is reported.
+@pytest.mark.parametrize("overrides, message", [
+    (dict(seed="0", config_hash=5), "'config_hash' must be a string"),
+    (dict(iter=1.5, weights="x"), "'iter' must be an integer"),
+    (dict(gms_mean="x", ilr=["1"]), "'ilr' must be an array of numbers"),
+    (dict(cond_number=None, gcs_mean=True), "'gcs_mean' must be a number or null"),
+    (dict(degenerate_flags=[1], rl_std=None), "'rl_std' must be a number"),
+    (dict(weights=[float("inf")], losses="x"), "'weights' must be finite"),
+    (dict(ldr=[float("nan")], ilr=[True]), "'ilr' must be an array of numbers"),
+    (dict(ilr_std=float("inf"), gms_mean=[1.0]), "'gms_mean' must be a number or null"),
+], ids=["str-before-int", "int-before-array", "array-before-nullable",
+        "nullable-before-float", "float-before-flags", "finite-before-next-field",
+        "field-order-within-a-kind", "type-of-an-earlier-kind-before-finite"])
+def test_parse_reports_the_first_fault_in_a_fixed_order(overrides, message):
+    with pytest.raises(TraceParseError) as err:
+        parse_trace_line(json.dumps(_payload(**overrides)))
+    assert message in str(err.value)
+
+
 @pytest.mark.parametrize("field, raw", [
     ("cond_number", "NaN"),
     ("ilr_std", "1e999"),
