@@ -59,8 +59,13 @@ logger = logging.getLogger(__name__)
 METHODS = ("autoscale", "unitary", "fixed", "rlw", "stl")
 PROBLEMS = ("quadratic", "mlp", "reference")
 
-#: Run-mean metric columns shared by summaries, aggregates and correlations.
-SUMMARY_METRICS = ("mean_gms", "mean_gcs", "mean_cond", "mean_ilr_std", "mean_rl_std")
+#: Run-mean metric columns shared by summaries, aggregates and correlations,
+#: each with the per-iteration trace field it is the mean of.
+_TRACE_COLUMNS = {"mean_gms": "gms_mean", "mean_gcs": "gcs_mean", "mean_cond": "cond_number",
+                  "mean_ilr_std": "ilr_std", "mean_rl_std": "rl_std"}
+SUMMARY_METRICS = tuple(_TRACE_COLUMNS)
+#: The trace's metadata fields, which a run summary begins with.
+_TRACE_META = TRACE_FIELDS[:TRACE_FIELDS.index("iter")]
 
 
 def _finite(values) -> bool:
@@ -211,15 +216,11 @@ def _baseline_iters(cfg: RunConfig) -> int:
     return cfg.baseline_iters if cfg.baseline_iters is not None else cfg.total_iters
 
 
-#: Per-iteration metric columns: trajectory CSVs and the SUMMARY_METRICS means.
-_TRAJECTORY_COLUMNS = ("gms_mean", "gcs_mean", "cond_number", "ilr_std", "rl_std")
-
-
 def _run_mean_metrics(columns: dict) -> dict:
-    """The SUMMARY_METRICS means of the _TRAJECTORY_COLUMNS, whose nulls are
+    """The SUMMARY_METRICS means of their trace columns, whose nulls are
     None or NaN; a mean of a column that is null on every row is None."""
     means = {}
-    for metric, name in zip(SUMMARY_METRICS, _TRAJECTORY_COLUMNS):
+    for metric, name in _TRACE_COLUMNS.items():
         values = np.array(columns[name], dtype=float)     # None becomes NaN
         values = values[~np.isnan(values)]
         means[metric] = float(values.mean()) if values.size else None
@@ -321,7 +322,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     summary, run = execute_run(cfg)
     if args.trace and run is not None:
-        n = write_trace(args.trace, [summary[f] for f in TRACE_FIELDS[:5]], run.columns)
+        n = write_trace(args.trace, [summary[f] for f in _TRACE_META], run.columns)
         print(f"trace: {args.trace} ({n} lines)")
     elif args.trace:
         print("trace: skipped (single-task baselines produce no joint trace)")
@@ -351,7 +352,7 @@ def _sweep_member(payload: tuple) -> dict:
     summary, run = execute_run(cfg)
     if trace_dir:
         path = os.path.join(trace_dir, f"{cfg.resolved_run_id()}.jsonl")
-        write_trace(path, [summary[f] for f in TRACE_FIELDS[:5]], run.columns)
+        write_trace(path, [summary[f] for f in _TRACE_META], run.columns)
         summary["trace_path"] = path
     return summary
 
@@ -444,17 +445,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         agg_rows = []
         for path in args.traces:
             columns = read_trace_columns(
-                path, ("iter", "run_id", "method", "cost_kind", *_TRAJECTORY_COLUMNS))
+                path, ("iter", "run_id", "method", "cost_kind", *_TRACE_COLUMNS.values()))
             iters = columns["iter"]
             run_id, method, cost_kind = (columns[name][0]
                                          for name in ("run_id", "method", "cost_kind"))
-            series = [columns[name] for name in _TRAJECTORY_COLUMNS]
+            series = [columns[name] for name in _TRACE_COLUMNS.values()]
             agg_rows.append([run_id, method, cost_kind, len(iters),
                              *_run_mean_metrics(columns).values()])
             if args.smooth > 1:
                 series = [_smooth(values, args.smooth) for values in series]
             _write_csv(os.path.join(args.out_dir, f"{run_id}_trajectory.csv"),
-                       ["iter", *_TRAJECTORY_COLUMNS], zip(iters, *series))
+                       ["iter", *_TRACE_COLUMNS.values()], zip(iters, *series))
             wrote_anything = True
         agg_path = os.path.join(args.out_dir, "aggregates.csv")
         _write_csv(agg_path,

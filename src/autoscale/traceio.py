@@ -6,10 +6,10 @@ the Gram upper triangle (row-major), and every derived metric.  Numeric fields
 serialize with shortest-round-trip precision, so parse(serialize(line))
 reproduces the exact binary values and identical runs produce byte-identical
 files.  ``write_trace`` writes a run's columns in blocks of lines, byte for
-byte what one ``serialize_trace_line`` per line would write.  ``TraceLine``
-converts every value once, whether it comes from a file or from Python
-values.  Parsing is strict: unknown fields and non-finite numbers
-are rejected, and a truncated or malformed line reports what is missing.
+byte what one ``serialize_trace_line`` per line would write.  ``TraceLine``'s
+fields declare the format; it converts every value once, from a file or from
+Python values.  Parsing is strict: unknown fields and non-finite numbers are
+rejected, and a truncated or malformed line reports what is missing.
 ``read_trace_columns`` reads chosen fields as columns under the same rules,
 checking blocks of lines at once and leaving every error to
 ``parse_trace_line``.
@@ -18,32 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-#: Exact serialized field order.  Metadata first, then the per-iteration payload.
-TRACE_FIELDS = (
-    "run_id", "method", "cost_kind", "seed", "config_hash",
-    "iter", "weights", "losses", "grad_norms", "gram_upper",
-    "gms_mean", "gcs_mean", "cond_number",
-    "ilr", "ilr_std", "ldr", "rl", "rl_std",
-    "degenerate_flags",
-)
-
-_FLOAT_TUPLES = ("weights", "losses", "grad_norms", "gram_upper", "ilr", "ldr", "rl")
-_OPTIONAL_FLOATS = ("gms_mean", "gcs_mean")
-_FLOATS = ("cond_number", "ilr_std", "rl_std")
-_NUMBER_TYPES = frozenset((int, float))
 _MAX_FLOAT = sys.float_info.max
-_STRINGS = ("run_id", "method", "cost_kind", "config_hash")
-_INTEGERS = ("seed", "iter")
-_ARRAYS = _FLOAT_TUPLES + ("degenerate_flags",)
-_FIELD_SET = frozenset(TRACE_FIELDS)
-_STR, _INT, _FLOAT, _LIST = (frozenset((t,)) for t in (str, int, float, list))
 #: Most non-blank lines ``read_trace_columns`` decodes before checking them.
 _BLOCK_LINES = 64
 
@@ -79,16 +60,33 @@ class TraceLine:
     def __post_init__(self) -> None:
         # The one place a trace value is converted: numpy scalars from a run
         # and JSON ints from a file both become plain floats here.
-        for name in _FLOAT_TUPLES:
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        for name in _FLOATS:
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in _OPTIONAL_FLOATS:
+        for name, (_, array, nullable, element, _) in _FIELD_KINDS.items():
             value = getattr(self, name)
-            if value is not None:
+            if array:
+                object.__setattr__(self, name, tuple(map(element, value)))
+            elif element is float and not (nullable and value is None):
                 object.__setattr__(self, name, float(value))
-        object.__setattr__(self, "degenerate_flags",
-                           tuple(map(str, self.degenerate_flags)))
+
+
+#: Each kind of field by its annotation, in the order the parser checks them:
+#: its fields, whether it is an array, whether it may be null, the type of a
+#: converted value (or element) and what the parser says a value must be.
+_KINDS = {kind: (tuple(f.name for f in fields(TraceLine) if f.type == kind),
+                 kind.startswith("tuple["), kind.endswith(" | None"), element, what)
+          for kind, element, what in (
+              ("str", str, "a string"),
+              ("int", int, "an integer"),
+              ("tuple[float, ...]", float, "an array of numbers"),
+              ("float | None", float, "a number or null"),
+              ("float", float, "a number"),
+              ("tuple[str, ...]", str, "an array of strings"))}
+#: The kind of each field, in serialized order; a field of no kind is a KeyError.
+_FIELD_KINDS = {f.name: _KINDS[f.type] for f in fields(TraceLine)}
+#: Exact serialized field order.  Metadata first, then the per-iteration payload.
+TRACE_FIELDS = tuple(_FIELD_KINDS)
+#: The fields a run's columns hold as floats: ``weights`` to ``rl_std``.
+_FLOAT_COLUMNS = tuple(name for name, (_, _, _, element, _) in _FIELD_KINDS.items()
+                       if element is float)
 
 
 def serialize_trace_line(line: TraceLine) -> str:
@@ -113,42 +111,23 @@ def parse_trace_line(text: str, line_number: int | None = None) -> TraceLine:
     if missing:
         raise TraceParseError(f"{where}missing field(s): {', '.join(missing)}")
 
-    def fail(msg: str) -> TraceParseError:
-        return TraceParseError(where + msg)
-
-    def check_finite(name: str, values) -> None:
-        # NaN, ±inf (json.loads reads 1e999 as inf) and ints past the double
-        # range fail; int/float comparisons are exact, and NaN compares false.
-        if not all(map(_MAX_FLOAT.__ge__, map(abs, values))):
-            raise fail(f"field {name!r} must be finite and within the double range")
-
     # json.loads yields exact int/float/str/list/bool/None, so exact type
-    # tests suffice and keep bool (an int subclass) out.
-    for name in _STRINGS:
-        if type(payload[name]) is not str:
-            raise fail(f"field {name!r} must be a string")
-    for name in _INTEGERS:
-        if type(payload[name]) is not int:
-            raise fail(f"field {name!r} must be an integer")
-    for name in _FLOAT_TUPLES:
-        v = payload[name]
-        if type(v) is not list or not _NUMBER_TYPES.issuperset(map(type, v)):
-            raise fail(f"field {name!r} must be an array of numbers")
-        check_finite(name, v)
-    for name in _OPTIONAL_FLOATS:
-        v = payload[name]
-        if v is not None:
-            if type(v) not in _NUMBER_TYPES:
-                raise fail(f"field {name!r} must be a number or null")
-            check_finite(name, (v,))
-    for name in _FLOATS:
-        v = payload[name]
-        if type(v) not in _NUMBER_TYPES:
-            raise fail(f"field {name!r} must be a number")
-        check_finite(name, (v,))
-    flags = payload["degenerate_flags"]
-    if type(flags) is not list or not all(type(e) is str for e in flags):
-        raise fail("field 'degenerate_flags' must be an array of strings")
+    # tests suffice and keep bool (an int subclass) out.  A float field takes
+    # an int too; NaN, ±inf (json.loads reads 1e999 as inf) and ints past the
+    # double range fail it, as int/float comparisons are exact and NaN
+    # compares false.
+    for names, array, nullable, element, what in _KINDS.values():
+        types = {int, float} if element is float else {element}
+        for name in names:
+            value = payload[name]
+            if nullable and value is None:
+                continue
+            values = value if array else (value,)
+            if array and type(value) is not list or not types.issuperset(map(type, values)):
+                raise TraceParseError(f"{where}field {name!r} must be {what}")
+            if element is float and not all(map(_MAX_FLOAT.__ge__, map(abs, values))):
+                raise TraceParseError(
+                    f"{where}field {name!r} must be finite and within the double range")
     return TraceLine(**payload)
 
 
@@ -162,17 +141,19 @@ def write_trace(path, meta: Sequence, columns: Mapping) -> int:
     line must equal :func:`serialize_trace_line` of its values.  A non-finite
     value other than a null raises ValueError naming the field.
     """
-    floats = {name: np.asarray(columns[name], dtype=float) for name in TRACE_FIELDS[6:-1]}
+    floats = {name: np.asarray(columns[name], dtype=float) for name in _FLOAT_COLUMNS}
     template = json.dumps(dict(zip(TRACE_FIELDS, meta)), separators=(",", ":"))[:-1]
     template = template.replace("%", "%%") + ',"iter":%d'
-    owners = []                       # the field of each column of a stacked block
+    owners, nulls = [], []            # the field of each column of a stacked block
     for name, column in floats.items():
-        slot = "%s" if name in _OPTIONAL_FLOATS else "%r"
-        width = column.shape[1] if name in _FLOAT_TUPLES else 0
+        _, array, nullable, _, _ = _FIELD_KINDS[name]
+        if nullable:
+            nulls.append(len(owners))
+        slot = "%s" if nullable else "%r"
+        width = column.shape[1] if array else 0
         template += f',"{name}":' + (f"[{','.join([slot] * width)}]" if width else slot)
         owners += [name] * max(width, 1)
     template += ',"degenerate_flags":%s}\n'
-    nulls = [i for i, name in enumerate(owners) if name in _OPTIONAL_FLOATS]
     iters, flags = np.asarray(columns["iter"]), columns["degenerate_flags"]
     flag_texts = {f: json.dumps(f, separators=(",", ":")) for f in set(flags)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -191,8 +172,8 @@ def write_trace(path, meta: Sequence, columns: Mapping) -> int:
             texts = [template % (t, *row, flag_texts[f])
                      for t, row, f in zip(iters[lo:hi].tolist(), rows, flags[lo:hi])]
             if lo == 0:
-                first = {n: None if n in _OPTIONAL_FLOATS and math.isnan(c[0]) else c[0].tolist()
-                         for n, c in floats.items()}
+                first = {n: c[0].tolist() for n, c in floats.items()}
+                first.update((owners[i], None) for i in nulls if rows[0][i] == "null")
                 if texts[0] != serialize_trace_line(TraceLine(
                         *meta, int(iters[0]), **first, degenerate_flags=flags[0])) + "\n":
                     raise RuntimeError("trace writer: first line differs from serialize_trace_line")
@@ -245,13 +226,11 @@ def read_trace_columns(path, names: Sequence[str]) -> dict[str, list]:
 def _read_block(block: list[tuple[int, str]], columns: dict[str, list]) -> None:
     payloads = _checked_payloads([text for _, text in block])
     if payloads is None:
-        lines = [parse_trace_line(text, line_number=i) for i, text in block]
-        for name, column in columns.items():
-            column.extend(getattr(line, name) for line in lines)
-        return
+        payloads = [vars(parse_trace_line(text, line_number=i)) for i, text in block]
     for name, column in columns.items():
         values = (p[name] for p in payloads)
-        column.extend(map(tuple, values) if name in _ARRAYS else values)
+        array = _FIELD_KINDS[name][1]
+        column.extend(map(tuple, values) if array else values)
 
 
 def _checked_payloads(texts: list[str]) -> list[dict] | None:
@@ -262,19 +241,20 @@ def _checked_payloads(texts: list[str]) -> list[dict] | None:
         payloads = list(map(json.loads, texts))
     except (ValueError, RecursionError):
         return None
-    if not all(type(p) is dict and p.keys() == _FIELD_SET for p in payloads):
+    if not all(type(p) is dict and p.keys() == _FIELD_KINDS.keys() for p in payloads):
         return None
-    if not _LIST.issuperset(map(type, [p[n] for p in payloads for n in _ARRAYS])):
-        return None
-    strings = [p[n] for p in payloads for n in _STRINGS]
-    strings.extend(flag for p in payloads for flag in p["degenerate_flags"])
-    floats = [x for p in payloads for n in _FLOAT_TUPLES for x in p[n]]
-    floats.extend(p[n] for p in payloads for n in _FLOATS)
-    floats.extend(v for p in payloads for n in _OPTIONAL_FLOATS if (v := p[n]) is not None)
-    if (_STR.issuperset(map(type, strings))
-            and _INT.issuperset(map(type, [p[n] for p in payloads for n in _INTEGERS]))
-            and _FLOAT.issuperset(map(type, floats))
-            and np.isfinite(np.array(floats)).all()):
+    values = {str: [], int: [], float: []}       # by the type they must have
+    for names, array, nullable, element, _ in _KINDS.values():
+        column = [p[n] for p in payloads for n in names]
+        if array:
+            if not {list}.issuperset(map(type, column)):
+                return None
+            column = [x for v in column for x in v]
+        elif nullable:
+            column = [v for v in column if v is not None]
+        values[element].extend(column)
+    if (all({t}.issuperset(map(type, column)) for t, column in values.items())
+            and np.isfinite(np.array(values[float])).all()):
         return payloads
     return None
 
