@@ -371,7 +371,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     payloads = [(base_dict, wv.as_tuple(), i, trace_dir)
                 for i, wv in enumerate(weight_sets)]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
             summaries = list(pool.map(_sweep_member, payloads))
     else:
         summaries = [_sweep_member(p) for p in payloads]
@@ -447,6 +447,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             columns = read_trace_columns(
                 path, ("iter", "run_id", "method", "cost_kind", *_TRACE_COLUMNS.values()))
             iters = columns["iter"]
+            for name in ("run_id", "method", "cost_kind"):
+                if len(set(columns[name])) > 1:
+                    raise ValueError(f"trace {path} holds more than one run: field {name!r} "
+                                     "changes")
+            if not all(map(int.__lt__, iters, iters[1:])):
+                raise ValueError(f"trace {path} holds more than one run: field 'iter' does "
+                                 "not strictly increase")
             run_id, method, cost_kind = (columns[name][0]
                                          for name in ("run_id", "method", "cost_kind"))
             series = [columns[name] for name in _TRACE_COLUMNS.values()]

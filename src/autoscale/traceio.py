@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Sequence
@@ -102,6 +103,8 @@ def parse_trace_line(text: str, line_number: int | None = None) -> TraceLine:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"{where}invalid JSON ({exc.msg} at column {exc.colno})")
+    except RecursionError:
+        raise TraceParseError(f"{where}invalid JSON (nested too deeply)") from None
     if not isinstance(payload, dict):
         raise TraceParseError(f"{where}trace line must be a JSON object")
     unknown = set(payload) - set(TRACE_FIELDS)
@@ -139,7 +142,8 @@ def write_trace(path, meta: Sequence, columns: Mapping) -> int:
     Every line fills one ``%`` template, a block of ``_BLOCK_LINES`` rows at
     a time; ``%r`` of a float is what ``json.dumps`` writes, and the first
     line must equal :func:`serialize_trace_line` of its values.  A non-finite
-    value other than a null raises ValueError naming the field.
+    value other than a null raises ValueError naming the field.  Lines go to
+    ``path + ".tmp"``, renamed onto ``path`` when all are written or removed.
     """
     floats = {name: np.asarray(columns[name], dtype=float) for name in _FLOAT_COLUMNS}
     template = json.dumps(dict(zip(TRACE_FIELDS, meta)), separators=(",", ":"))[:-1]
@@ -156,28 +160,36 @@ def write_trace(path, meta: Sequence, columns: Mapping) -> int:
     template += ',"degenerate_flags":%s}\n'
     iters, flags = np.asarray(columns["iter"]), columns["degenerate_flags"]
     flag_texts = {f: json.dumps(f, separators=(",", ":")) for f in set(flags)}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lo in range(0, len(iters), _BLOCK_LINES):
-            hi = min(lo + _BLOCK_LINES, len(iters))
-            block = np.hstack([c[lo:hi].reshape(hi - lo, -1) for c in floats.values()])
-            null, bad = np.isnan(block[:, nulls]), ~np.isfinite(block)
-            bad[:, nulls] = np.isinf(block[:, nulls])
-            if bad.any():
-                r, c = np.argwhere(bad)[0]
-                raise ValueError(f"trace field {owners[c]!r} must be finite, "
-                                 f"got {float(block[r, c])!r} at row {lo + r}")
-            rows = block.tolist()
-            for r, c in np.argwhere(null):
-                rows[r][nulls[c]] = "null"
-            texts = [template % (t, *row, flag_texts[f])
-                     for t, row, f in zip(iters[lo:hi].tolist(), rows, flags[lo:hi])]
-            if lo == 0:
-                first = {n: c[0].tolist() for n, c in floats.items()}
-                first.update((owners[i], None) for i in nulls if rows[0][i] == "null")
-                if texts[0] != serialize_trace_line(TraceLine(
-                        *meta, int(iters[0]), **first, degenerate_flags=flags[0])) + "\n":
-                    raise RuntimeError("trace writer: first line differs from serialize_trace_line")
-            fh.write("".join(texts))
+    tmp = os.fspath(path) + ".tmp"
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            for lo in range(0, len(iters), _BLOCK_LINES):
+                hi = min(lo + _BLOCK_LINES, len(iters))
+                block = np.hstack([c[lo:hi].reshape(hi - lo, -1) for c in floats.values()])
+                null, bad = np.isnan(block[:, nulls]), ~np.isfinite(block)
+                bad[:, nulls] = np.isinf(block[:, nulls])
+                if bad.any():
+                    r, c = np.argwhere(bad)[0]
+                    raise ValueError(f"trace field {owners[c]!r} must be finite, "
+                                     f"got {float(block[r, c])!r} at row {lo + r}")
+                rows = block.tolist()
+                for r, c in np.argwhere(null):
+                    rows[r][nulls[c]] = "null"
+                texts = [template % (t, *row, flag_texts[f])
+                         for t, row, f in zip(iters[lo:hi].tolist(), rows, flags[lo:hi])]
+                if lo == 0:
+                    first = {n: c[0].tolist() for n, c in floats.items()}
+                    first.update((owners[i], None) for i in nulls if rows[0][i] == "null")
+                    if texts[0] != serialize_trace_line(TraceLine(
+                            *meta, int(iters[0]), **first, degenerate_flags=flags[0])) + "\n":
+                        raise RuntimeError(
+                            "trace writer: first line differs from serialize_trace_line")
+                fh.write("".join(texts))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return len(iters)
 
 

@@ -407,6 +407,31 @@ def test_sweep_is_deterministic_and_job_count_invariant(tmp_path):
     assert first == parallel
 
 
+def test_sweep_starts_no_more_workers_than_members(tmp_path, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Runs the members in this process and records the worker count asked for."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    for jobs, n in (("5000", "3"), ("2", "3")):
+        assert main(["sweep", *QUAD, "--total-iters", "5", "--n", n,
+                     "--out-dir", str(tmp_path / jobs), "--jobs", jobs]) == 0
+    assert started == [3, 2]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_sweep_rejects_a_job_count_below_one(tmp_path, capsys, jobs):
     out_dir = tmp_path / "sw"
@@ -470,6 +495,50 @@ def test_analyze_rejects_traces_that_share_a_run_id(tmp_path, capsys):
     assert (f"error: traces {first} and {second} share run id 'run'"
             in capsys.readouterr().err)
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("second, field", [
+    (["--method", "rlw", "--run-id", "b"], "run_id"),
+    (["--method", "fixed", "--weights", "1,1", "--run-id", "a"], "method"),
+    (["--method", "unitary", "--run-id", "a"], "iter"),
+], ids=["run-id", "method", "iter"])
+def test_analyze_rejects_a_trace_that_holds_more_than_one_run(tmp_path, capsys, second,
+                                                             field):
+    first, other = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert main(["run", "--method", "unitary", *QUAD, "--total-iters", "10",
+                 "--run-id", "a", "--trace", str(first)]) == 0
+    assert main(["run", *second, *QUAD, "--total-iters", "5", "--trace", str(other)]) == 0
+    both = tmp_path / "c.jsonl"
+    both.write_bytes(first.read_bytes() + other.read_bytes())
+    capsys.readouterr()
+    out_dir = tmp_path / "an"
+    rc = main(["analyze", "--traces", str(both), "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: trace {both} holds more than one run: field {field!r} ")
+    assert list(out_dir.iterdir()) == []
+
+
+def test_analyze_rejects_two_runs_that_differ_only_in_cost_kind(tmp_path, capsys):
+    paths = [tmp_path / f"{cost}.jsonl" for cost in ("equal-loss", "low-cond")]
+    for path in paths:
+        assert main(["run", "--method", "autoscale", *QUAD, "--total-iters", "10",
+                     "--window-size", "2", "--aggregation-size", "1", "--run-id", "a",
+                     "--cost", path.stem, "--trace", str(path)]) == 0
+    both = tmp_path / "both.jsonl"
+    both.write_bytes(paths[0].read_bytes() + paths[1].read_bytes())
+    capsys.readouterr()
+    assert main(["analyze", "--traces", str(both), "--out-dir", str(tmp_path / "an")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: trace {both} holds more than one run: field 'cost_kind' changes\n")
+
+
+def test_analyze_reports_a_deeply_nested_line_with_exit_2(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("[" * 200_000 + "\n", encoding="utf-8")
+    rc = main(["analyze", "--traces", str(trace), "--out-dir", str(tmp_path / "an")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: line 1: invalid JSON (nested too deeply)\n"
 
 
 def test_analyze_summary_without_delta_m_exits_2(tmp_path, capsys):

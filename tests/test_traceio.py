@@ -150,6 +150,16 @@ def test_parse_rejects_invalid_json():
         parse_trace_line("{not json", line_number=7)
 
 
+def test_parse_reports_a_deeply_nested_line_as_invalid_json(tmp_path):
+    deep = "[" * 200_000
+    with pytest.raises(TraceParseError, match=r"^line 4: invalid JSON \(nested too deeply\)$"):
+        parse_trace_line(deep, line_number=4)
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(_texts(2) + [deep]) + "\n", encoding="utf-8")
+    assert _assert_reads_agree(path) == ("TraceParseError",
+                                         "line 3: invalid JSON (nested too deeply)")
+
+
 def test_parse_rejects_non_object():
     with pytest.raises(TraceParseError, match="must be a JSON object"):
         parse_trace_line("[1, 2, 3]")
@@ -334,6 +344,20 @@ def test_block_writer_names_a_non_finite_field(tmp_path, name, bad):
     with pytest.raises(ValueError, match=f"^trace field '{name}' must be finite, "
                                          f"got {bad!r} at row 66$"):
         write_trace(path, meta, columns)
+    # The 64 lines of the first block never reach path, nor stay beside it.
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_keeps_the_file_already_at_the_path(tmp_path):
+    meta, columns, _ = _random_columns(np.random.default_rng(10), 2, 130)
+    path = tmp_path / "t.jsonl"
+    write_trace(path, meta, columns)
+    before = path.read_bytes()
+    columns["cond_number"][129] = np.inf
+    with pytest.raises(ValueError, match="at row 129$"):
+        write_trace(path, meta, columns)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_block_writer_checks_its_first_line_against_the_serializer(tmp_path, monkeypatch):
@@ -341,6 +365,7 @@ def test_block_writer_checks_its_first_line_against_the_serializer(tmp_path, mon
     monkeypatch.setattr(traceio, "serialize_trace_line", lambda line: "{}")
     with pytest.raises(RuntimeError, match="first line differs from serialize_trace_line"):
         write_trace(tmp_path / "t.jsonl", meta, columns)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
