@@ -143,12 +143,12 @@ def write_trace(path, meta: Sequence, columns: Mapping) -> int:
     a time; ``%r`` of a float is what ``json.dumps`` writes, and the first
     line must equal :func:`serialize_trace_line` of its values.  A non-finite
     value other than a null raises ValueError naming the field.  Lines go to
-    ``path + ".tmp"``, renamed onto ``path`` when all are written or removed.
+    ``path + ".tmp"``, renamed onto ``path`` once all are written, removed on error.
     """
     floats = {name: np.asarray(columns[name], dtype=float) for name in _FLOAT_COLUMNS}
     template = json.dumps(dict(zip(TRACE_FIELDS, meta)), separators=(",", ":"))[:-1]
     template = template.replace("%", "%%") + ',"iter":%d'
-    owners, nulls = [], []            # the field of each column of a stacked block
+    owners, nulls = [], []            # each stacked column's field; the nullable columns
     for name, column in floats.items():
         _, array, nullable, _, _ = _FIELD_KINDS[name]
         if nullable:
