@@ -497,40 +497,33 @@ def test_analyze_rejects_traces_that_share_a_run_id(tmp_path, capsys):
     assert list(out_dir.iterdir()) == []
 
 
-@pytest.mark.parametrize("second, field", [
-    (["--method", "rlw", "--run-id", "b"], "run_id"),
-    (["--method", "fixed", "--weights", "1,1", "--run-id", "a"], "method"),
-    (["--method", "unitary", "--run-id", "a"], "iter"),
-], ids=["run-id", "method", "iter"])
-def test_analyze_rejects_a_trace_that_holds_more_than_one_run(tmp_path, capsys, second,
-                                                             field):
-    first, other = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    assert main(["run", "--method", "unitary", *QUAD, "--total-iters", "10",
-                 "--run-id", "a", "--trace", str(first)]) == 0
-    assert main(["run", *second, *QUAD, "--total-iters", "5", "--trace", str(other)]) == 0
+_UNITARY_A = ["--method", "unitary", "--run-id", "a"]
+_AUTOSCALE_A = ["--method", "autoscale", "--window-size", "2", "--aggregation-size", "1",
+                "--run-id", "a"]
+
+
+@pytest.mark.parametrize("first, second, field", [
+    (_UNITARY_A, ["--method", "rlw", "--run-id", "b"], "run_id"),
+    (_UNITARY_A, ["--method", "fixed", "--weights", "1,1", "--run-id", "a"], "method"),
+    (_AUTOSCALE_A + ["--cost", "equal-loss"], _AUTOSCALE_A + ["--cost", "low-cond"],
+     "cost_kind"),
+    (_UNITARY_A, _UNITARY_A, "iter"),
+], ids=["run-id", "method", "cost-kind", "iter"])
+def test_analyze_rejects_a_trace_that_holds_more_than_one_run(tmp_path, capsys, first,
+                                                             second, field):
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for argv, path in zip((first, second), paths):
+        assert main(["run", *argv, *QUAD, "--total-iters", "10", "--trace", str(path)]) == 0
     both = tmp_path / "c.jsonl"
-    both.write_bytes(first.read_bytes() + other.read_bytes())
+    both.write_bytes(paths[0].read_bytes() + paths[1].read_bytes())
     capsys.readouterr()
     out_dir = tmp_path / "an"
     rc = main(["analyze", "--traces", str(both), "--out-dir", str(out_dir)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: trace {both} holds more than one run: field {field!r} ")
-    assert list(out_dir.iterdir()) == []
-
-
-def test_analyze_rejects_two_runs_that_differ_only_in_cost_kind(tmp_path, capsys):
-    paths = [tmp_path / f"{cost}.jsonl" for cost in ("equal-loss", "low-cond")]
-    for path in paths:
-        assert main(["run", "--method", "autoscale", *QUAD, "--total-iters", "10",
-                     "--window-size", "2", "--aggregation-size", "1", "--run-id", "a",
-                     "--cost", path.stem, "--trace", str(path)]) == 0
-    both = tmp_path / "both.jsonl"
-    both.write_bytes(paths[0].read_bytes() + paths[1].read_bytes())
-    capsys.readouterr()
-    assert main(["analyze", "--traces", str(both), "--out-dir", str(tmp_path / "an")]) == 2
     assert capsys.readouterr().err == (
-        f"error: trace {both} holds more than one run: field 'cost_kind' changes\n")
+        f"error: trace {both} holds more than one run: field {field!r} "
+        + ("does not strictly increase\n" if field == "iter" else "changes\n"))
+    assert list(out_dir.iterdir()) == []
 
 
 def test_analyze_reports_a_deeply_nested_line_with_exit_2(tmp_path, capsys):
