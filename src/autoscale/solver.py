@@ -262,14 +262,13 @@ def solve_general(cost: Callable[[np.ndarray], float],
         except DegenerateInputError:
             return float("inf")
 
-    def f(z: np.ndarray) -> tuple[float, np.ndarray]:
+    def f(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         w = _weights_from_logits(z, k)
-        return run_cost(w), w
-
-    init_cost = run_cost(w_init.w)
-    candidates: list[tuple[float, np.ndarray]] = [(init_cost, w_init.w)]
+        return run_cost(w), w, z
 
     z_init = _logits_from_weights(w_init.w)
+    candidates = [(run_cost(w_init.w), w_init.w, z_init)]
+
     starts = [z_init]
     rng = spawn_rng(seed, 0xD1CE)
     for _ in range(_RESTARTS):
@@ -283,78 +282,61 @@ def solve_general(cost: Callable[[np.ndarray], float],
 
         Runs until the simplex values have collapsed (relative spread below
         1e-12), an iteration cap is reached, or the budget runs out; returns
-        the best vertex seen.  The vertices are the rows of ``points``.
+        the best vertex seen.  Each vertex is a (cost, weights, logits) tuple.
         """
         nonlocal budget_hit
-        points = np.empty((n + 1, n))
-        points[0] = z0
-        points[1:] = z0 + np.eye(n) * step
-        scored = [f(p) for p in points]
-        values = [c for c, _ in scored]
-        ws = [w for _, w in scored]
+        simplex = [f(z0)] + [f(z0 + e * step) for e in np.eye(n)]
         for _ in range(200 * max(n, 1)):
             if evals >= budget:
                 budget_hit = True
                 break
             # Stable, with NaN last, as np.argsort(kind="stable") orders them.
-            order = sorted(range(n + 1),
-                           key=lambda i: (values[i] != values[i], values[i]))
-            points = points.take(order, axis=0)
-            values = [values[i] for i in order]
-            ws = [ws[i] for i in order]
-            spread = values[-1] - values[0]
-            if math.isfinite(spread) and spread <= 1e-12 * (1.0 + abs(values[0])):
+            simplex.sort(key=lambda v: (v[0] != v[0], v[0]))
+            spread = simplex[-1][0] - simplex[0][0]
+            if math.isfinite(spread) and spread <= 1e-12 * (1.0 + abs(simplex[0][0])):
                 break
-            centroid = np.add.reduce(points[:-1], axis=0) / n
+            centroid = np.add.reduce([z for _, _, z in simplex[:-1]], axis=0) / n
+            worst = simplex[-1][2]
 
-            reflected = centroid + alpha * (centroid - points[-1])
-            fr, wr = f(reflected)
-            if fr < values[0]:
-                expanded = centroid + gamma * (reflected - centroid)
-                fe, we = f(expanded)
-                if fe < fr:
-                    points[-1], values[-1], ws[-1] = expanded, fe, we
-                else:
-                    points[-1], values[-1], ws[-1] = reflected, fr, wr
-            elif fr < values[-2]:
-                points[-1], values[-1], ws[-1] = reflected, fr, wr
+            reflected = f(centroid + alpha * (centroid - worst))
+            if reflected[0] < simplex[0][0]:
+                expanded = f(centroid + gamma * (reflected[2] - centroid))
+                simplex[-1] = expanded if expanded[0] < reflected[0] else reflected
+            elif reflected[0] < simplex[-2][0]:
+                simplex[-1] = reflected
             else:
-                contracted = centroid + rho * (points[-1] - centroid)
-                fc, wc = f(contracted)
-                if fc < values[-1]:
-                    points[-1], values[-1], ws[-1] = contracted, fc, wc
+                contracted = f(centroid + rho * (worst - centroid))
+                if contracted[0] < simplex[-1][0]:
+                    simplex[-1] = contracted
                 else:
-                    points[1:] = points[0] + sigma * (points[1:] - points[0])
-                    for i in range(1, n + 1):
-                        values[i], ws[i] = f(points[i])
-        i_best = int(np.argmin(values))
-        return values[i_best], ws[i_best], points[i_best]
+                    best = simplex[0][2]
+                    simplex[1:] = [f(best + sigma * (z - best)) for _, _, z in simplex[1:]]
+        return simplex[int(np.argmin([c for c, _, _ in simplex]))]
 
     for z0 in starts:
         if evals >= budget:
             budget_hit = True
             break
-        inc_cost, inc_w = f(z0)
-        inc_z = z0
+        incumbent = f(z0)
         step = 0.4
         while evals < budget:
-            c, w, z = descend(inc_z, step)
-            improved = c < inc_cost - IMPROVEMENT_TOL
-            if c < inc_cost:
-                inc_cost, inc_w, inc_z = c, w, z
+            vertex = descend(incumbent[2], step)
+            improved = vertex[0] < incumbent[0] - IMPROVEMENT_TOL
+            if vertex[0] < incumbent[0]:
+                incumbent = vertex
             if not improved:
                 break
             step = max(0.5 * step, 0.02)
         else:
             budget_hit = True
-        candidates.append((inc_cost, inc_w))
+        candidates.append(incumbent)
 
-    best_cost = min(c for c, _ in candidates)
+    best_cost = min(c for c, _, _ in candidates)
     window = TIE_TOL * (1.0 + abs(best_cost))
-    tied = [(c, w) for c, w in candidates if c <= best_cost + window]
     ones = np.ones(k)
-    tied.sort(key=lambda cw: (float(np.linalg.norm(cw[1] - ones)), cw[0]))
-    final_cost, final_w = tied[0]
+    final_cost, final_w, _ = min(
+        (v for v in candidates if v[0] <= best_cost + window),
+        key=lambda v: (float(np.linalg.norm(v[1] - ones)), v[0]))
     w_star = w_init if final_w is w_init.w else WeightVector(final_w)
 
     return SolverReport(w_star=w_star, cost_at_w_star=final_cost,
