@@ -28,7 +28,6 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
@@ -52,7 +51,7 @@ from .scheduler import (
     run_fixed_scalarization,
     run_weight_schedule,
 )
-from .traceio import TRACE_FIELDS, config_hash, iter_trace, read_trace_columns, write_trace
+from .traceio import TRACE_FIELDS, config_hash, read_trace_columns, write_trace
 
 logger = logging.getLogger(__name__)
 
@@ -427,42 +426,42 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     wrote_anything = False
 
     if args.traces:
-        # A run id names its trajectory CSV, so check them all before writing.
-        paths_by_id: dict = {}
-        for path in args.traces:
-            with closing(iter_trace(path)) as lines:
-                first = next(lines, None)
-            if first is None:
-                print(f"analyze: {path} is empty", file=sys.stderr)
-                return 1
-            if not _plain_name(first.run_id):
-                raise ValueError(f"trace {path}: run id {first.run_id!r} is not one plain "
-                                 "file-name component")
-            if first.run_id in paths_by_id:
-                raise ValueError(f"traces {paths_by_id[first.run_id]} and {path} share "
-                                 f"run id {first.run_id!r}")
-            paths_by_id[first.run_id] = path
+        # Every trace is read and checked before anything is written: a run id
+        # names its trajectory CSV.  Per run only the first row's metadata,
+        # ``iter`` and the five series are kept.
+        runs: dict = {}
         agg_rows = []
         for path in args.traces:
             columns = read_trace_columns(
                 path, ("iter", "run_id", "method", "cost_kind", *_TRACE_COLUMNS.values()))
             iters = columns["iter"]
-            for name in ("run_id", "method", "cost_kind"):
-                if len(set(columns[name])) > 1:
+            if not iters:
+                print(f"analyze: {path} is empty", file=sys.stderr)
+                return 1
+            meta = {name: columns.pop(name) for name in ("run_id", "method", "cost_kind")}
+            run_id = meta["run_id"][0]
+            if not _plain_name(run_id):
+                raise ValueError(f"trace {path}: run id {run_id!r} is not one plain "
+                                 "file-name component")
+            if run_id in runs:
+                raise ValueError(f"traces {runs[run_id][0]} and {path} share "
+                                 f"run id {run_id!r}")
+            for name, values in meta.items():
+                if len(set(values)) > 1:
                     raise ValueError(f"trace {path} holds more than one run: field {name!r} "
                                      "changes")
             if not all(map(int.__lt__, iters, iters[1:])):
                 raise ValueError(f"trace {path} holds more than one run: field 'iter' does "
                                  "not strictly increase")
-            run_id, method, cost_kind = (columns[name][0]
-                                         for name in ("run_id", "method", "cost_kind"))
-            series = [columns[name] for name in _TRACE_COLUMNS.values()]
-            agg_rows.append([run_id, method, cost_kind, len(iters),
+            runs[run_id] = (path, columns)
+            agg_rows.append([run_id, meta["method"][0], meta["cost_kind"][0], len(iters),
                              *_run_mean_metrics(columns).values()])
+        for run_id, (_, columns) in runs.items():
+            series = [columns[name] for name in _TRACE_COLUMNS.values()]
             if args.smooth > 1:
                 series = [_smooth(values, args.smooth) for values in series]
             _write_csv(os.path.join(args.out_dir, f"{run_id}_trajectory.csv"),
-                       ["iter", *_TRACE_COLUMNS.values()], zip(iters, *series))
+                       ["iter", *_TRACE_COLUMNS.values()], zip(columns["iter"], *series))
             wrote_anything = True
         agg_path = os.path.join(args.out_dir, "aggregates.csv")
         _write_csv(agg_path,

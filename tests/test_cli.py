@@ -526,6 +526,32 @@ def test_analyze_rejects_a_trace_that_holds_more_than_one_run(tmp_path, capsys, 
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-last"])
+@pytest.mark.parametrize("fault", ["two-runs", "malformed-line"])
+def test_analyze_writes_nothing_when_any_trace_is_bad(tmp_path, capsys, bad_first, fault):
+    good, bad = tmp_path / "b.jsonl", tmp_path / "c.jsonl"
+    for path, run_id in ((good, "b"), (bad, "c")):
+        assert main(["run", "--method", "unitary", *QUAD, "--total-iters", "10",
+                     "--run-id", run_id, "--trace", str(path)]) == 0
+    text = bad.read_text(encoding="utf-8")
+    if fault == "two-runs":
+        bad.write_text(text + text, encoding="utf-8")
+        message = f"error: trace {bad} holds more than one run: field 'iter' does not " \
+                  "strictly increase\n"
+    else:
+        lines = text.splitlines()
+        lines[7] = '{"weights": "oops"}'
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = "error: line 8: missing field(s): " + _NOT_WEIGHTS + "\n"
+    capsys.readouterr()
+    out_dir = tmp_path / "an"
+    traces = [bad, good] if bad_first else [good, bad]
+    rc = main(["analyze", "--traces", *map(str, traces), "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == message
+    assert list(out_dir.iterdir()) == []
+
+
 def test_analyze_reports_a_deeply_nested_line_with_exit_2(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     trace.write_text("[" * 200_000 + "\n", encoding="utf-8")
