@@ -141,10 +141,19 @@ def write_trace(path, meta: Sequence, columns: Mapping) -> int:
 
     Every line fills one ``%`` template, a block of ``_BLOCK_LINES`` rows at
     a time; ``%r`` of a float is what ``json.dumps`` writes, and the first
-    line must equal :func:`serialize_trace_line` of its values.  A non-finite
-    value other than a null raises ValueError naming the field.  Lines go to
+    line must equal :func:`serialize_trace_line` of its values.  A ``meta``
+    value not of its field's exact type (``str`` or ``int``), or a non-finite
+    value other than a null, raises ValueError naming the field.  Lines go to
     ``path + ".tmp"``, renamed onto ``path`` once all are written, removed on error.
     """
+    meta_fields = TRACE_FIELDS[:TRACE_FIELDS.index("iter")]
+    if len(meta) != len(meta_fields):
+        raise ValueError(f"trace meta must hold {len(meta_fields)} values "
+                         f"({', '.join(meta_fields)}), got {len(meta)}")
+    for name, value in zip(meta_fields, meta):
+        _, _, _, element, what = _FIELD_KINDS[name]
+        if type(value) is not element:
+            raise ValueError(f"trace meta field {name!r} must be {what}, got {value!r}")
     floats = {name: np.asarray(columns[name], dtype=float) for name in _FLOAT_COLUMNS}
     template = json.dumps(dict(zip(TRACE_FIELDS, meta)), separators=(",", ":"))[:-1]
     template = template.replace("%", "%%") + ',"iter":%d'

@@ -1,6 +1,7 @@
 """JSONL trace format: exact round trips, strict parsing, stable hashing."""
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -345,6 +346,21 @@ def test_block_writer_names_a_non_finite_field(tmp_path, name, bad):
                                          f"got {bad!r} at row 66$"):
         write_trace(path, meta, columns)
     # The 64 lines of the first block never reach path, nor stay beside it.
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("meta, message", [
+    (("run", "fixed", "", 1.5, "0" * 16), "trace meta field 'seed' must be an integer, got 1.5"),
+    (("run", "fixed", "", True, "0" * 16), "trace meta field 'seed' must be an integer, got True"),
+    (("run", "fixed", "", 0, 12), "trace meta field 'config_hash' must be a string, got 12"),
+    ((None, "fixed", "", 0, "0" * 16), "trace meta field 'run_id' must be a string, got None"),
+    (("run", "fixed", ""), "trace meta must hold 5 values (run_id, method, cost_kind, seed, "
+                          "config_hash), got 3"),
+], ids=["float-seed", "bool-seed", "int-hash", "none-id", "three-values"])
+def test_block_writer_checks_its_meta_before_writing(tmp_path, meta, message):
+    _, columns, _ = _random_columns(np.random.default_rng(11), 2, 5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_trace(tmp_path / "t.jsonl", list(meta), columns)
     assert list(tmp_path.iterdir()) == []
 
 
