@@ -332,27 +332,25 @@ class MLPRegressionFamily:
         heads = theta[trunk:].reshape(k, per_head)
         return w1, b1, w2, b2, heads
 
-    def _forward(self, theta: np.ndarray):
-        w1, b1, w2, b2, heads = self._unpack(theta)
+    def _forward(self, w1, b1, w2, b2, heads):
         h1 = np.tanh(self.x @ w1 + b1)
         h2 = np.tanh(h1 @ w2 + b2)
         preds = h2 @ heads[:, :-1].T + heads[:, -1]     # (n, K)
         return h1, h2, preds
 
     def task_losses(self, theta: np.ndarray) -> np.ndarray:
-        _, _, preds = self._forward(theta)
+        _, _, preds = self._forward(*self._unpack(theta))
         residual = preds.T - self.y                     # (K, n)
         return np.mean(residual ** 2, axis=1)
 
     def task_gradients(self, theta: np.ndarray,
                        tasks: Sequence[int] | None = None) -> np.ndarray:
-        w1, b1, w2, b2, heads = self._unpack(theta)
+        params = self._unpack(theta)
+        _, _, w2, _, heads = params
         n = self.x.shape[0]
         k = self.num_tasks
         rows = range(k) if tasks is None else _task_rows(tasks, k)
-        h1 = np.tanh(self.x @ w1 + b1)
-        h2 = np.tanh(h1 @ w2 + b2)
-        preds = h2 @ heads[:, :-1].T + heads[:, -1]
+        h1, h2, preds = self._forward(*params)
         grads = np.zeros((len(rows), self.full_dim))
         d_h2_pre_base = 1.0 - h2 ** 2                   # tanh'
         d_h1_pre_base = 1.0 - h1 ** 2
