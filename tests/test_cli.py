@@ -536,8 +536,8 @@ def test_analyze_writes_nothing_when_any_trace_is_bad(tmp_path, capsys, bad_firs
     text = bad.read_text(encoding="utf-8")
     if fault == "two-runs":
         bad.write_text(text + text, encoding="utf-8")
-        message = f"error: trace {bad} holds more than one run: field 'iter' does not " \
-                  "strictly increase\n"
+        message = (f"error: trace {bad} holds more than one run: field 'iter' does not "
+                   "strictly increase\n")
     else:
         lines = text.splitlines()
         lines[7] = '{"weights": "oops"}'

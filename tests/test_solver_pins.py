@@ -5,11 +5,11 @@ report against values recorded before any change to the search: every bit of
 ``w_star`` and ``cost_at_w_star`` (as ``float.hex``), the evaluation count,
 ``converged``, and a SHA-256 over the bytes of every point handed to the
 cost, in call order.  The last pin catches a change that reorders or
-replaces evaluations and still lands on the same optimum.  The golden traces reach the search only at K=3 on the
-reference problem; these cases add K=2, 4 and 6 (centroids over three or
-more points), an optimum that pins a coordinate at the floor, an exhausted
-budget and a cost with a degenerate region.  A change that claims the same
-search must leave every pin unchanged.
+replaces evaluations and still lands on the same optimum.  The golden traces
+reach the search only at K=3 on the reference problem; these cases add K=2,
+4 and 6 (centroids over three or more points), an optimum that pins a
+coordinate at the floor, an exhausted budget and a cost with a degenerate
+region.  A change that claims the same search must leave every pin unchanged.
 
 Pins were recorded with numpy 2.4.6 (OpenBLAS 0.3.31), Python 3.11, x86-64.
 """
