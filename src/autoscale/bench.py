@@ -20,7 +20,8 @@ is plain fixed-step descent on the weighted total loss.  Without ``tasks``
 the gradients are the full (K, full_dim) matrix; with it, only the listed
 tasks are computed, row ``i`` for task ``tasks[i]``, and an entry that is not
 an int in [0, K) raises ``ValueError``.  The single-task baselines ask for
-one row per step.
+one row per step.  Both also take an (R, full_dim) batch of parameters
+(see :class:`MultiTaskProblem`).
 """
 from __future__ import annotations
 
@@ -44,7 +45,12 @@ LOG_UNIFORM_SPAN = 10.0
 
 
 class MultiTaskProblem(Protocol):
-    """Structural contract every problem family satisfies."""
+    """Structural contract every problem family satisfies.
+
+    ``theta`` is one (full_dim,) parameter vector or an (R, full_dim) batch;
+    a batch adds a leading R axis to each result, row r equal bit for bit to
+    the result for ``theta[r]`` alone.
+    """
 
     num_tasks: int
     full_dim: int
@@ -58,7 +64,8 @@ class MultiTaskProblem(Protocol):
 
     def task_gradients(self, theta: np.ndarray,
                        tasks: Sequence[int] | None = None) -> np.ndarray:
-        """(len(tasks), full_dim) gradients, row i for task ``tasks[i]``.
+        """(len(tasks), full_dim) gradients, row i for task ``tasks[i]``, or
+        (R, len(tasks), full_dim) for a batch.
 
         ``tasks=None`` is the full (K, full_dim) matrix.  An entry that is not
         an int in [0, K) raises ``ValueError``.
@@ -144,8 +151,8 @@ class QuadraticFamily:
         return np.array(self.theta0, copy=True)
 
     def task_losses(self, theta: np.ndarray) -> np.ndarray:
-        diffs = theta[None, :] - self.centers
-        quad = np.einsum("kd,kde,ke->k", diffs, self.curvatures, diffs)
+        diffs = theta[..., None, :] - self.centers
+        quad = np.einsum("...kd,kde,...ke->...k", diffs, self.curvatures, diffs)
         return 0.5 * self.scales * quad + self.offsets
 
     def task_gradients(self, theta: np.ndarray,
@@ -154,8 +161,8 @@ class QuadraticFamily:
         if tasks is not None:
             rows = _task_rows(tasks, self.num_tasks)
             centers, curvatures, scales = centers[rows], curvatures[rows], scales[rows]
-        diffs = theta[None, :] - centers
-        return scales[:, None] * np.einsum("kde,ke->kd", curvatures, diffs)
+        diffs = theta[..., None, :] - centers
+        return scales[:, None] * np.einsum("kde,...ke->...kd", curvatures, diffs)
 
 
 def _equiangular_directions(k: int, d: int, conflict_angle: float,
@@ -260,7 +267,9 @@ class MLPRegressionFamily:
     """Shared two-layer tanh trunk, one linear head per task, MSE losses.
 
     Parameters pack as [W1 | b1 | W2 | b2 | heads...]; the shared slice covers
-    the trunk.  Gradients are exact reverse-mode, written out by hand.
+    the trunk.  Gradients are exact reverse-mode, written out by hand.  An
+    (R, D) batch of parameters is computed one row at a time: a backward pass
+    batched over the rows would round differently from a single run's.
     """
 
     x: np.ndarray          # (n, input_dim)
@@ -339,12 +348,16 @@ class MLPRegressionFamily:
         return h1, h2, preds
 
     def task_losses(self, theta: np.ndarray) -> np.ndarray:
+        if theta.ndim == 2:     # one member at a time, see the class docstring
+            return np.stack([self.task_losses(row) for row in theta])
         _, _, preds = self._forward(*self._unpack(theta))
         residual = preds.T - self.y                     # (K, n)
         return np.mean(residual ** 2, axis=1)
 
     def task_gradients(self, theta: np.ndarray,
                        tasks: Sequence[int] | None = None) -> np.ndarray:
+        if theta.ndim == 2:
+            return np.stack([self.task_gradients(row, tasks) for row in theta])
         params = self._unpack(theta)
         _, _, w2, _, heads = params
         n = self.x.shape[0]

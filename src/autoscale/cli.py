@@ -24,10 +24,10 @@ import csv
 import json
 import logging
 import math
+import multiprocessing
 import os
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
@@ -65,6 +65,9 @@ _TRACE_COLUMNS = {"mean_gms": "gms_mean", "mean_gcs": "gcs_mean", "mean_cond": "
 SUMMARY_METRICS = tuple(_TRACE_COLUMNS)
 #: The trace's metadata fields, which a run summary begins with.
 _TRACE_META = TRACE_FIELDS[:TRACE_FIELDS.index("iter")]
+#: Most sweep members one process trains in lockstep; bounds a worker's
+#: memory, which would otherwise grow with ``--n``.
+_SWEEP_BATCH = 10
 
 
 def _finite(values) -> bool:
@@ -244,9 +247,14 @@ def execute_run(cfg: RunConfig) -> tuple[dict, TrainingRun | None]:
         run = run_weight_schedule(
             problem, lambda t: random_loss_weighting_step(k, cfg.seed, t),
             cfg.total_iters)
+    return _summary(cfg, problem, run), run
 
+
+def _summary(cfg: RunConfig, problem, run: TrainingRun | None) -> dict:
+    """The summary of ``cfg``'s run on ``problem``: the trace's metadata
+    fields, then the results."""
     baselines, baseline_mode = compute_baselines(problem, cfg)
-    summary: dict = {              # the trace's metadata fields, then the results
+    summary: dict = {
         "run_id": cfg.resolved_run_id(),
         "method": cfg.method,
         "cost_kind": cfg.cost_kind if cfg.method == "autoscale" else "",
@@ -272,7 +280,7 @@ def execute_run(cfg: RunConfig) -> tuple[dict, TrainingRun | None]:
                                 else [float(v) for v in final_weight.w])
     if run is not None:
         summary.update(_run_mean_metrics(run.metrics))
-    return summary, run
+    return summary
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
@@ -341,19 +349,75 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_member(payload: tuple) -> dict:
-    base_dict, weights, index, trace_dir = payload
-    member = dict(base_dict)
-    member["method"] = "fixed"
-    member["weights"] = list(weights)
-    member["run_id"] = f"sweep-{index:03d}"
-    cfg = RunConfig.from_dict(member)
-    summary, run = execute_run(cfg)
-    if trace_dir:
-        path = os.path.join(trace_dir, f"{cfg.resolved_run_id()}.jsonl")
-        write_trace(path, [summary[f] for f in _TRACE_META], run.columns)
-        summary["trace_path"] = path
-    return summary
+def _sweep_chunk(cfgs: list[RunConfig], trace_dir: str | None) -> list[dict]:
+    """Train the fixed-weight sweep members ``cfgs`` in lockstep batches of at
+    most ``_SWEEP_BATCH`` and return their summaries, writing each member's
+    trace into ``trace_dir`` when given.  The first member that fails raises
+    its error, after the members before it are written."""
+    problem = build_problem(cfgs[0])     # every member's settings build the same problem
+    summaries = []
+    for lo in range(0, len(cfgs), _SWEEP_BATCH):
+        batch = cfgs[lo:lo + _SWEEP_BATCH]
+        runs = run_fixed_scalarization(
+            problem, [make_weight_vector(np.asarray(cfg.weights)) for cfg in batch],
+            batch[0].total_iters)
+        for cfg, run in zip(batch, runs):
+            if isinstance(run, ValueError):
+                raise run
+            summary = _summary(cfg, problem, run)
+            if trace_dir:
+                path = os.path.join(trace_dir, f"{cfg.resolved_run_id()}.jsonl")
+                write_trace(path, [summary[f] for f in _TRACE_META], run.columns)
+                summary["trace_path"] = path
+            summaries.append(summary)
+    return summaries
+
+
+def _sweep_worker(conn, cfgs: list[RunConfig], trace_dir: str | None) -> None:
+    """One sweep worker process: sends its chunk's summaries, or the error
+    that stopped the chunk, for the main process to report."""
+    try:
+        result = _sweep_chunk(cfgs, trace_dir)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _run_chunks(chunks: list[list[RunConfig]], trace_dir: str | None) -> list[dict]:
+    """Each chunk in its own forked worker process; the summaries in chunk
+    order.  A worker's error is raised once every worker has ended, the first
+    chunk's first; a worker that ends without sending a result is a
+    ``ChildProcessError`` naming its exit code."""
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for cfgs in chunks:
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_sweep_worker, args=(sender, cfgs, trace_dir))
+            worker.start()
+            workers.append((worker, receiver))
+            # Only the worker holds the write end now, so its exit ends the pipe.
+            sender.close()
+        results = []
+        for index, (worker, receiver) in enumerate(workers):
+            try:
+                results.append(receiver.recv())
+            except EOFError:
+                worker.join()
+                results.append(ChildProcessError(
+                    f"sweep worker {index} exited with code {worker.exitcode} "
+                    "without sending its results"))
+    finally:
+        for worker, receiver in workers:
+            worker.join()
+            receiver.close()
+    summaries = []
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+        summaries += result
+    return summaries
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -365,15 +429,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                      scheme=args.scheme)
     os.makedirs(args.out_dir, exist_ok=True)
     trace_dir = args.out_dir if args.write_traces else None
-    base_dict = cfg.to_dict()
-
-    payloads = [(base_dict, wv.as_tuple(), i, trace_dir)
-                for i, wv in enumerate(weight_sets)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
-            summaries = list(pool.map(_sweep_member, payloads))
-    else:
-        summaries = [_sweep_member(p) for p in payloads]
+    cfgs = [RunConfig.from_dict({**cfg.to_dict(), "method": "fixed",
+                                 "weights": list(wv.as_tuple()), "run_id": f"sweep-{i:03d}"})
+            for i, wv in enumerate(weight_sets)]
+    # Contiguous chunks, one per worker: a member's outputs do not depend on
+    # its chunk or its batch, so they are the same for any --jobs.
+    n_chunks = min(args.jobs, len(cfgs))
+    bounds = [len(cfgs) * i // n_chunks for i in range(n_chunks + 1)]
+    chunks = [cfgs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    summaries = (_sweep_chunk(chunks[0], trace_dir) if n_chunks == 1
+                 else _run_chunks(chunks, trace_dir))
 
     k = problem.num_tasks
     header = (["run_id"] + [f"weight_{i}" for i in range(k)] +

@@ -149,6 +149,8 @@ def solve_quadratic(m) -> SolverReport:
     k = m.shape[0]
     if k < 2:
         raise ValueError("M must be at least 2x2")
+    if not np.isfinite(m).all():
+        raise ValueError("M must be finite")
     scale = max(1.0, float(np.abs(m).max()))
     if float(np.abs(m - m.T).max()) > 1e-8 * scale:
         raise ValueError("M must be symmetric (1e-8 relative)")

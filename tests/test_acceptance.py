@@ -260,8 +260,7 @@ def test_criterion_07_metric_trend(report):
     samples = a.sample_weight_sets(19, problem.num_tasks, seed=0,
                                    scheme="dirichlet-uniform")
     dms, gms_means, cond_means = [], [], []
-    for wv in samples:
-        run = a.run_fixed_scalarization(problem, wv, 2500)
+    for run in a.run_fixed_scalarization(problem, samples, 2500):   # one lockstep batch
         dms.append(_delta_m_vs_optima(run, problem))
         gms_means.append(float(np.mean(run.metrics["gms_mean"])))
         cond_means.append(float(np.mean(run.metrics["cond_number"])))
@@ -284,7 +283,10 @@ def test_criterion_08_beats_unitary(report):
     problem = a.imbalanced_reference_problem(seed=0)
     k = problem.num_tasks
 
-    unitary = a.run_fixed_scalarization(problem, a.uniform_weights(k), total)
+    # The 21 fixed-weight runs, unitary then the grid, as one lockstep batch.
+    grid = a.sample_weight_sets(20, k, seed=0, scheme="log-uniform-grid")
+    unitary, *grid_runs = a.run_fixed_scalarization(
+        problem, [a.uniform_weights(k), *grid], total)
     dm_unitary = _delta_m_vs_optima(unitary, problem)
 
     dm_auto = {}
@@ -294,9 +296,7 @@ def test_criterion_08_beats_unitary(report):
                                 cost_kind=kind, seed=0)
         dm_auto[kind] = _delta_m_vs_optima(a.run_autoscale(problem, cfg), problem)
 
-    grid = a.sample_weight_sets(20, k, seed=0, scheme="log-uniform-grid")
-    dm_grid = min(_delta_m_vs_optima(
-        a.run_fixed_scalarization(problem, wv, total), problem) for wv in grid)
+    dm_grid = min(_delta_m_vs_optima(run, problem) for run in grid_runs)
     rel_gap = abs(dm_auto["low-cond"] - dm_grid) / abs(dm_grid)
     elapsed = time.perf_counter() - t0
 

@@ -85,6 +85,20 @@ def test_task_subset_rows_equal_the_full_matrix_rows_bitwise(case):
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_a_batch_of_parameters_gives_each_row_its_own_values_bitwise(family):
+    problem = _FAMILIES[family]
+    rng = np.random.default_rng(3)
+    thetas = problem.initial_theta() + 0.5 * rng.standard_normal((5, problem.full_dim))
+    losses, grads = problem.task_losses(thetas), problem.task_gradients(thetas)
+    subset = problem.task_gradients(thetas, (2, 0))
+    assert losses.shape == (5, 4) and grads.shape == (5, 4, problem.full_dim)
+    for theta, row_losses, row_grads, row_subset in zip(thetas, losses, grads, subset):
+        assert row_losses.tobytes() == problem.task_losses(theta).tobytes()
+        assert row_grads.tobytes() == problem.task_gradients(theta).tobytes()
+        assert row_subset.tobytes() == problem.task_gradients(theta, (2, 0)).tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
 @pytest.mark.parametrize("bad", [-1, 4, 1.0, "0", True, None])
 def test_task_indices_outside_the_tasks_are_rejected(family, bad):
     problem = _FAMILIES[family]

@@ -3,13 +3,15 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
+import os
 import re
 from dataclasses import fields
 
 import pytest
 
-from autoscale import TraceLine, cli, read_trace
-from autoscale.cli import RunConfig, main
+from autoscale import DivergenceError, TraceLine, cli, read_trace, sample_weight_sets
+from autoscale.cli import RunConfig, execute_run, main
 
 from helpers import write_trace_lines
 
@@ -327,6 +329,21 @@ def test_diverging_run_leaves_no_trace(tmp_path):
     assert not trace.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_window_objective_past_the_float_range_is_divergence(capfd):
+    """Every recorded value stays finite while the losses pass 1e191, but the
+    window's quadratic form overflows: exit 3 naming the window, not a
+    LAPACK failure."""
+    rc = main(["run", "--method", "autoscale", "--problem", "mlp", "--k", "4",
+               "--cost", "equal-loss", "--seed", "3", "--stride", "2",
+               "--total-iters", "2500"])
+    out, err = capfd.readouterr()
+    assert rc == 3
+    assert re.search(r"error: training diverged in window 4 \(iterations 200 to 249\): "
+                     r"non-finite window objective; largest task loss \d\.\d+e\+191\n$", err)
+    assert "DLASCL" not in out + err
+
+
 def test_losses_past_the_square_overflow_give_a_complete_trace(tmp_path):
     """Losses pass 1e154 at iteration 52 and stay finite: every line is kept
     and re-parses with a finite spread."""
@@ -377,12 +394,16 @@ def test_run_id_must_be_one_plain_file_name(tmp_path, capsys, run_id):
 # sweep subcommand
 # ---------------------------------------------------------------------------
 
-def _sweep(tmp_path, name, jobs="1"):
+def _sweep(tmp_path, name, jobs="1", n="4", *flags):
     out_dir = tmp_path / name
-    rc = main(["sweep", *QUAD, "--total-iters", "60", "--n", "4",
-               "--out-dir", str(out_dir), "--jobs", jobs])
+    rc = main(["sweep", *QUAD, "--total-iters", "60", "--n", n,
+               "--out-dir", str(out_dir), "--jobs", jobs, *flags])
     assert rc == 0
     return out_dir / "sweep_summary.csv"
+
+
+def _outputs(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
 def test_sweep_writes_summary_csv(tmp_path, capsys):
@@ -399,37 +420,82 @@ def test_sweep_writes_summary_csv(tmp_path, capsys):
         assert float(r[1]) + float(r[2]) == pytest.approx(2.0, abs=1e-9)
 
 
-def test_sweep_is_deterministic_and_job_count_invariant(tmp_path):
+def test_sweep_is_deterministic_and_job_count_invariant(tmp_path, monkeypatch):
     first = _sweep(tmp_path, "s1").read_bytes()
     second = _sweep(tmp_path, "s2").read_bytes()
     parallel = _sweep(tmp_path, "s3", jobs="2").read_bytes()
     assert first == second
     assert first == parallel
+    # Five members: an uneven split over two workers, one worker per member,
+    # and lockstep batches of two; summary and traces are byte-identical.
+    want = _outputs(_sweep(tmp_path, "u1", "1", "5", "--write-traces").parent)
+    assert len(want) == 6
+    for jobs in ("2", "5000"):
+        assert _outputs(_sweep(tmp_path, f"u{jobs}", jobs, "5", "--write-traces").parent) == want
+    monkeypatch.setattr(cli, "_SWEEP_BATCH", 2)
+    for jobs in ("1", "2"):
+        assert _outputs(_sweep(tmp_path, f"b{jobs}", jobs, "5", "--write-traces").parent) == want
 
 
 def test_sweep_starts_no_more_workers_than_members(tmp_path, monkeypatch):
+    """--jobs J over N members starts min(J, N) worker processes, and none
+    when that is one: the members then run in this process."""
     started = []
+    process = multiprocessing.get_context("fork").Process
+    start = process.start
 
-    class RecordingPool:
-        """Runs the members in this process and records the worker count asked for."""
+    def counted(self):
+        started.append(self)
+        start(self)
 
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    for jobs, n in (("5000", "3"), ("2", "3")):
+    monkeypatch.setattr(process, "start", counted)
+    counts = []
+    for jobs, n in (("5000", "3"), ("2", "3"), ("1", "3")):
+        before = len(started)
         assert main(["sweep", *QUAD, "--total-iters", "5", "--n", n,
                      "--out-dir", str(tmp_path / jobs), "--jobs", jobs]) == 0
-    assert started == [3, 2]
+        counts.append(len(started) - before)
+    assert counts == [3, 2, 0]
+    assert not any(worker.is_alive() for worker in started)
+
+
+def test_a_dead_sweep_worker_is_an_error_naming_its_exit_code(tmp_path, monkeypatch, capsys):
+    summary = cli._summary
+
+    def dying(cfg, problem, run):
+        if cfg.run_id == "sweep-002":
+            os._exit(1)
+        return summary(cfg, problem, run)
+
+    monkeypatch.setattr(cli, "_summary", dying)
+    out_dir = tmp_path / "sw"
+    rc = main(["sweep", *QUAD, "--total-iters", "5", "--n", "4",
+               "--out-dir", str(out_dir), "--jobs", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: sweep worker 1 exited with code 1 without sending its results\n")
+    assert not (out_dir / "sweep_summary.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_diverging_sweep_member_exits_3_with_the_first_member_error(tmp_path, capsys, jobs):
+    """Members 0, 2 and 3 diverge, member 2 first in iterations; members 0-2
+    share a batch, and with two workers member 3 runs in the other one."""
+    flags = ["--problem", "quadratic", "--k", "3", "--dim", "4", "--scales", "1,2,3",
+             "--step-size", "0.4", "--total-iters", "600", "--seed", "6"]
+    out_dir = tmp_path / "sw"
+    rc = main(["sweep", *flags, "--n", "6", "--out-dir", str(out_dir), "--jobs", jobs])
+    assert rc == 3
+    err = capsys.readouterr().err
+    weights = sample_weight_sets(6, 3, seed=6)
+    member = RunConfig(method="fixed", problem="quadratic", k=3, dim=4, scales=(1, 2, 3),
+                       step_size=0.4, total_iters=600, seed=6, weights=weights[0].as_tuple())
+    with pytest.raises(DivergenceError) as first:
+        execute_run(member)
+    assert "iteration 524" in str(first.value)
+    assert err == f"error: {first.value}\n"
+    assert not (out_dir / "sweep_summary.csv").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

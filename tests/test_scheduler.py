@@ -20,6 +20,7 @@ from autoscale import (
     run_autoscale,
     run_fixed_scalarization,
     run_weight_schedule,
+    sample_weight_sets,
     snapshot_from_gradients,
     uniform_weights,
     window_cost,
@@ -335,6 +336,94 @@ def test_divergence_stops_stepping_at_the_diverging_iteration(monkeypatch):
     with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError):
         run_fixed_scalarization(problem, make_weight_vector(w), 1000)
     assert len(calls) == t + 1
+
+
+def test_a_non_finite_low_cond_incumbent_is_divergence(monkeypatch):
+    """Rows can stay finite while the window objective overflows; for
+    low-cond the incumbent cost is the objective checked."""
+    problem = _small_problem(3)
+    losses = run_fixed_scalarization(problem, uniform_weights(3), 20).losses
+    monkeypatch.setattr(scheduler, "window_cost", lambda kind, w, window: math.inf)
+    with pytest.raises(DivergenceError) as exc:
+        run_autoscale(problem, _phase_config(cost_kind="low-cond"))
+    assert str(exc.value) == (
+        "training diverged in window 0 (iterations 0 to 19): non-finite window "
+        f"objective; largest task loss {float(losses.max())!r}")
+
+
+# ---------------------------------------------------------------------------
+# fixed-weight members in lockstep
+# ---------------------------------------------------------------------------
+
+def _lockstep_case():
+    """A problem and 19 weights of which members 1 and 6 diverge: the weighted
+    Hessian is (w . scales) I, and w . scales exceeds 2 / step_size = 5."""
+    problem = make_quadratic_problem(k=3, d=4, scales=[1.0, 2.0, 3.0],
+                                     conflict_angle=math.pi / 2.0, step_size=0.4)
+    return problem, sample_weight_sets(19, 3, seed=1), 600
+
+
+def _single(problem, wv, total):
+    try:
+        return run_fixed_scalarization(problem, wv, total)
+    except ValueError as exc:
+        return exc
+
+
+def _assert_same_member(got, want):
+    if isinstance(want, ValueError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert metric_columns_identical(got.metrics, want.metrics)
+    assert got.theta_final.tobytes() == want.theta_final.tobytes()
+    assert got.final_losses == want.final_losses
+    assert got.final_weight.as_tuple() == want.final_weight.as_tuple()
+    for name in ("weights", "losses", "grad_norms", "gram_upper"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("members", [[1], [0, 1], list(range(19))])
+def test_each_batch_member_equals_its_single_run(members):
+    problem, weights, total = _lockstep_case()
+    batch = run_fixed_scalarization(problem, [weights[r] for r in members], total)
+    singles = [_single(problem, weights[r], total) for r in members]
+    assert len(batch) == len(members)
+    assert [isinstance(run, DivergenceError) for run in singles] == [r in (1, 6) for r in members]
+    for got, want in zip(batch, singles):
+        _assert_same_member(got, want)
+
+
+def test_a_member_failing_a_record_check_leaves_with_its_own_error(monkeypatch):
+    """A check other than finiteness fails for one member's rows alone: the
+    stacked pass is redone member by member, so the others still finish."""
+    problem, weights, total = _lockstep_case()
+    weights = [w for r, w in enumerate(weights) if r not in (1, 6)][:5]
+    marked = weights[2].as_tuple()
+    records = scheduler.metric_records
+
+    def failing(norms, grams, losses, initial, prev, w, iterations):
+        rows = [i for i, row in enumerate(w) if tuple(row) == marked and iterations[i] >= 70]
+        if rows:
+            raise ValueError(f"check failed at iteration {iterations[rows[0]]}")
+        return records(norms, grams, losses, initial, prev, w, iterations)
+
+    monkeypatch.setattr(scheduler, "metric_records", failing)
+    batch = run_fixed_scalarization(problem, weights, total)
+    singles = [_single(problem, wv, total) for wv in weights]
+    assert str(singles[2]) == "check failed at iteration 70"
+    for got, want in zip(batch, singles):
+        _assert_same_member(got, want)
+
+
+def test_a_batch_checks_every_weight_and_keeps_single_runs_single():
+    problem = _small_problem()
+    with pytest.raises(ValueError, match="weights must have length 2"):
+        run_fixed_scalarization(problem, [uniform_weights(2), uniform_weights(3)], 10)
+    single = run_fixed_scalarization(problem, uniform_weights(2), 10)
+    batch = run_fixed_scalarization(problem, [uniform_weights(2)], 10)
+    assert isinstance(batch, list) and len(batch) == 1
+    _assert_same_member(batch[0], single)
 
 
 # ---------------------------------------------------------------------------

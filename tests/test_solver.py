@@ -71,6 +71,14 @@ def test_solve_quadratic_balances_grad_norms():
     assert report.cost_at_w_star <= 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_solve_quadratic_rejects_a_non_finite_matrix(bad):
+    m = np.eye(3)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError, match="^M must be finite$"):
+        solve_quadratic(m)
+
+
 def test_solve_quadratic_equal_norms_gives_uniform():
     m = quadratic_form("equal-grad-norm", _norm_window([3.0, 3.0, 3.0]))
     report = solve_quadratic(m)
