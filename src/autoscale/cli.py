@@ -388,7 +388,9 @@ def _run_chunks(chunks: list[list[RunConfig]], trace_dir: str | None) -> list[di
     """Each chunk in its own forked worker process; the summaries in chunk
     order.  A worker's error is raised once every worker has ended, the first
     chunk's first; a worker that ends without sending a result is a
-    ``ChildProcessError`` naming its exit code."""
+    ``ChildProcessError`` naming its exit code.  Forked, not spawned: a spawned
+    worker would import numpy and this package again, and this process runs
+    no other thread that a fork could copy mid-operation."""
     context = multiprocessing.get_context("fork")
     workers = []
     try:
