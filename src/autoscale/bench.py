@@ -349,7 +349,7 @@ class MLPRegressionFamily:
 
     def task_losses(self, theta: np.ndarray) -> np.ndarray:
         if theta.ndim == 2:     # one member at a time, see the class docstring
-            return np.stack([self.task_losses(row) for row in theta])
+            return np.array([self.task_losses(row) for row in theta])
         _, _, preds = self._forward(*self._unpack(theta))
         residual = preds.T - self.y                     # (K, n)
         return np.mean(residual ** 2, axis=1)
@@ -357,7 +357,7 @@ class MLPRegressionFamily:
     def task_gradients(self, theta: np.ndarray,
                        tasks: Sequence[int] | None = None) -> np.ndarray:
         if theta.ndim == 2:
-            return np.stack([self.task_gradients(row, tasks) for row in theta])
+            return np.array([self.task_gradients(row, tasks) for row in theta])
         params = self._unpack(theta)
         _, _, w2, _, heads = params
         n = self.x.shape[0]
