@@ -24,10 +24,10 @@ import csv
 import json
 import logging
 import math
-import multiprocessing
 import os
 import sys
 from collections import deque
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
@@ -373,55 +373,6 @@ def _sweep_chunk(cfgs: list[RunConfig], trace_dir: str | None) -> list[dict]:
     return summaries
 
 
-def _sweep_worker(conn, cfgs: list[RunConfig], trace_dir: str | None) -> None:
-    """One sweep worker process: sends its chunk's summaries, or the error
-    that stopped the chunk, for the main process to report."""
-    try:
-        result = _sweep_chunk(cfgs, trace_dir)
-    except Exception as exc:
-        result = exc
-    conn.send(result)
-    conn.close()
-
-
-def _run_chunks(chunks: list[list[RunConfig]], trace_dir: str | None) -> list[dict]:
-    """Each chunk in its own forked worker process; the summaries in chunk
-    order.  A worker's error is raised once every worker has ended, the first
-    chunk's first; a worker that ends without sending a result is a
-    ``ChildProcessError`` naming its exit code.  Forked, not spawned: a spawned
-    worker would import numpy and this package again, and this process runs
-    no other thread that a fork could copy mid-operation."""
-    context = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for cfgs in chunks:
-            receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_sweep_worker, args=(sender, cfgs, trace_dir))
-            worker.start()
-            workers.append((worker, receiver))
-            # Only the worker holds the write end now, so its exit ends the pipe.
-            sender.close()
-        results = []
-        for index, (worker, receiver) in enumerate(workers):
-            try:
-                results.append(receiver.recv())
-            except EOFError:
-                worker.join()
-                results.append(ChildProcessError(
-                    f"sweep worker {index} exited with code {worker.exitcode} "
-                    "without sending its results"))
-    finally:
-        for worker, receiver in workers:
-            worker.join()
-            receiver.close()
-    summaries = []
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-        summaries += result
-    return summaries
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be an integer >= 1, got {args.jobs}")
@@ -439,8 +390,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     n_chunks = min(args.jobs, len(cfgs))
     bounds = [len(cfgs) * i // n_chunks for i in range(n_chunks + 1)]
     chunks = [cfgs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    summaries = (_sweep_chunk(chunks[0], trace_dir) if n_chunks == 1
-                 else _run_chunks(chunks, trace_dir))
+    if n_chunks == 1:
+        summaries = _sweep_chunk(chunks[0], trace_dir)
+    else:
+        try:
+            with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+                summaries = [summary for chunk in pool.map(_sweep_chunk, chunks,
+                                                          [trace_dir] * n_chunks)
+                             for summary in chunk]
+        except BrokenExecutor as exc:
+            raise ChildProcessError(
+                f"a sweep worker ended without sending its results ({exc})") from None
 
     k = problem.num_tasks
     header = (["run_id"] + [f"weight_{i}" for i in range(k)] +

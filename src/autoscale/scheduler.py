@@ -362,15 +362,16 @@ def run_fixed_scalarization(problem, weights, total_iters: int):
 
     ``weights`` is a WeightVector, or a plain length-K array (accepted so the
     single-task case K=1 works, where the feasible-set type does not apply),
-    and the result is its TrainingRun.  A list of such weights trains one
-    member per weight in lockstep and returns a list, in order, of each
+    and the result is its TrainingRun.  A list or tuple of such weights trains
+    one member per weight in lockstep and returns a list, in order, of each
     member's TrainingRun or of the ValueError (such as a DivergenceError) its
     own run raises; a member that fails leaves the others running.
     """
     if total_iters < 1:
         raise ValueError("total_iters must be >= 1")
     k = problem.num_tasks
-    batch = weights if isinstance(weights, list) else [weights]
+    many = isinstance(weights, (list, tuple)) and bool(weights) and not np.isscalar(weights[0])
+    batch = list(weights) if many else [weights]
     rows = [wv.w if isinstance(wv, WeightVector) else np.asarray(wv, float) for wv in batch]
     for w in rows:
         if w.shape != (k,):
@@ -380,7 +381,7 @@ def run_fixed_scalarization(problem, weights, total_iters: int):
     descent.run(lambda t: w_arr, total_iters)
     finals = [wv if isinstance(wv, WeightVector) else WeightVector(w) if k >= 2 else None
               for wv, w in zip(batch, rows)]
-    if not isinstance(weights, list):
+    if not many:
         return descent.finish(0, (), finals[0])
     return [descent.errors[r] if r in descent.errors else descent.finish(r, (), final)
             for r, final in enumerate(finals)]

@@ -254,13 +254,23 @@ def _delta_m_vs_optima(run, problem) -> float:
                       for v, b in zip(run.final_losses, base)])
 
 
+def _fixed_runs(problem, weights, total):
+    """One lockstep batch of fixed-weight runs; a member that failed raises
+    its own error here, as its single run would."""
+    runs = a.run_fixed_scalarization(problem, weights, total)
+    for run in runs:
+        if isinstance(run, ValueError):
+            raise run
+    return runs
+
+
 def test_criterion_07_metric_trend(report):
     t0 = time.perf_counter()
     problem = a.imbalanced_reference_problem(seed=0)
     samples = a.sample_weight_sets(19, problem.num_tasks, seed=0,
                                    scheme="dirichlet-uniform")
     dms, gms_means, cond_means = [], [], []
-    for run in a.run_fixed_scalarization(problem, samples, 2500):   # one lockstep batch
+    for run in _fixed_runs(problem, samples, 2500):
         dms.append(_delta_m_vs_optima(run, problem))
         gms_means.append(float(np.mean(run.metrics["gms_mean"])))
         cond_means.append(float(np.mean(run.metrics["cond_number"])))
@@ -285,8 +295,7 @@ def test_criterion_08_beats_unitary(report):
 
     # The 21 fixed-weight runs, unitary then the grid, as one lockstep batch.
     grid = a.sample_weight_sets(20, k, seed=0, scheme="log-uniform-grid")
-    unitary, *grid_runs = a.run_fixed_scalarization(
-        problem, [a.uniform_weights(k), *grid], total)
+    unitary, *grid_runs = _fixed_runs(problem, [a.uniform_weights(k), *grid], total)
     dm_unitary = _delta_m_vs_optima(unitary, problem)
 
     dm_auto = {}

@@ -424,6 +424,11 @@ def test_a_batch_checks_every_weight_and_keeps_single_runs_single():
     batch = run_fixed_scalarization(problem, [uniform_weights(2)], 10)
     assert isinstance(batch, list) and len(batch) == 1
     _assert_same_member(batch[0], single)
+    pair = run_fixed_scalarization(problem, (uniform_weights(2), uniform_weights(2)), 10)
+    assert isinstance(pair, list) and len(pair) == 2
+    _assert_same_member(pair[1], single)
+    # A plain list of numbers is one weight, not a batch.
+    _assert_same_member(run_fixed_scalarization(problem, [1.0, 1.0], 10), single)
 
 
 # ---------------------------------------------------------------------------
