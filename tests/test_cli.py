@@ -441,7 +441,7 @@ def test_sweep_starts_no_more_workers_than_members(tmp_path, monkeypatch):
     """--jobs J over N members starts min(J, N) worker processes, and none
     when that is one: the members then run in this process."""
     started = []
-    process = multiprocessing.get_context("fork").Process
+    process = multiprocessing.get_context().Process     # the executor's default context
     start = process.start
 
     def counted(self):
