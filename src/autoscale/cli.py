@@ -8,6 +8,10 @@ Subcommands:
   summary into a metric-vs-outcome rank-correlation table.
 * ``eval``    — score-file comparison table (delta_m / delta_m_deg / ranks).
 
+Empirical single-task baselines (``mlp``) train in one worker process beside
+a joint run, exact baselines and ``--method stl`` start no process, and a
+sweep computes its baselines once for all members.
+
 A JSON config file can replace the flags; explicit flags override it.  Unknown
 keys are rejected and every value is checked against its ``RunConfig`` field's
 type.  ``AUTOSCALE_LOG`` sets log verbosity only; it never changes results.
@@ -20,15 +24,18 @@ training diverges (a ``DivergenceError``, whose message names the iteration).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
 import math
+import multiprocessing
 import os
 import sys
 from collections import deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -229,53 +236,107 @@ def _run_mean_metrics(columns: dict) -> dict:
     return means
 
 
-def execute_run(cfg: RunConfig) -> tuple[dict, TrainingRun | None]:
-    """Run one experiment; returns its summary and its run (None for ``stl``)."""
-    problem = build_problem(cfg)
+def _train(cfg: RunConfig, problem) -> TrainingRun | None:
+    """``cfg``'s joint run on ``problem``; None for ``stl``, which has none."""
     k = problem.num_tasks
-    run: TrainingRun | None = None
-
     if cfg.method == "autoscale":
-        run = run_autoscale(problem, AutoScaleConfig(
+        return run_autoscale(problem, AutoScaleConfig(
             **{f.name: getattr(cfg, f.name) for f in fields(AutoScaleConfig)}))
-    elif cfg.method == "unitary":
-        run = run_fixed_scalarization(problem, uniform_weights(k), cfg.total_iters)
-    elif cfg.method == "fixed":
-        run = run_fixed_scalarization(
+    if cfg.method == "unitary":
+        return run_fixed_scalarization(problem, uniform_weights(k), cfg.total_iters)
+    if cfg.method == "fixed":
+        return run_fixed_scalarization(
             problem, make_weight_vector(np.asarray(cfg.weights)), cfg.total_iters)
-    elif cfg.method == "rlw":
-        run = run_weight_schedule(
+    if cfg.method == "rlw":
+        return run_weight_schedule(
             problem, lambda t: random_loss_weighting_step(k, cfg.seed, t),
             cfg.total_iters)
-    return _summary(cfg, problem, run), run
+    return None
 
 
-def _summary(cfg: RunConfig, problem, run: TrainingRun | None) -> dict:
-    """The summary of ``cfg``'s run on ``problem``: the trace's metadata
-    fields, then the results."""
-    baselines, baseline_mode = compute_baselines(problem, cfg)
-    summary: dict = {
-        "run_id": cfg.resolved_run_id(),
-        "method": cfg.method,
-        "cost_kind": cfg.cost_kind if cfg.method == "autoscale" else "",
-        "seed": cfg.seed,
-        "config_hash": cfg.semantic_hash(),
-        "baselines": [float(b) for b in baselines],
-        "baseline_mode": baseline_mode,
-    }
+def _stl_baselines(cfg: RunConfig) -> np.ndarray:
+    """The baseline worker's task: empirical baselines of ``cfg``'s problem,
+    built here from the settings alone."""
+    return run_stl_baselines(build_problem(cfg), _baseline_iters(cfg))
 
-    if run is None:
-        # Single-task training: when it already gave the baselines, reuse them.
-        final_losses = (baselines if baseline_mode == "stl"
-                        else run_stl_baselines(problem, _baseline_iters(cfg)))
-        final_weight = None
+
+@contextlib.contextmanager
+def _worker_pool(workers: int, who: str):
+    """A ``ProcessPoolExecutor`` of ``workers`` processes, shut down on exit.
+
+    On any exception out of the block, pending calls are cancelled and every
+    worker started so far is terminated and joined before the exception
+    propagates, so none outlives the command, even when a later worker
+    failed to start.  A worker that died without sending its results is a
+    ChildProcessError naming ``who``.
+    """
+    before = set(multiprocessing.active_children())
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    except BaseException as exc:
+        started = [p for p in multiprocessing.active_children() if p not in before]
+        for process in started:
+            process.terminate()
+        for process in started:
+            process.join()
+        pool.shutdown(cancel_futures=True)
+        if isinstance(exc, BrokenExecutor):
+            raise ChildProcessError(
+                f"{who} ended without sending its results ({exc})") from None
+        raise
+    pool.shutdown()
+
+
+def execute_run(cfg: RunConfig, trace: str | None = None) -> tuple[dict, TrainingRun | None]:
+    """Run one experiment; returns its summary and its run (None for ``stl``),
+    after writing the run's trace to ``trace`` when given.
+
+    Empirical baselines of a joint run train in one worker process while the
+    run trains here, and are waited for once the trace is written.  Exact
+    baselines, and those of ``stl``, which are its own results, are computed
+    here and start no process.
+    """
+    problem = build_problem(cfg)
+    in_worker = cfg.method != "stl" and problem.reference_optima is None
+    with (_worker_pool(1, "the baseline worker") if in_worker
+          else contextlib.nullcontext()) as pool:
+        pending = pool.submit(_stl_baselines, cfg) if in_worker else None
+        run = _train(cfg, problem)
+        if trace and run is not None:
+            write_trace(trace, _trace_meta(cfg), run.columns)
+        baselines = (pending.result(), "stl") if in_worker else compute_baselines(problem, cfg)
+    if run is not None:
+        final_losses = run.final_losses
+    elif baselines[1] == "stl":
+        final_losses = baselines[0]     # single-task training gave the baselines
     else:
-        final_losses, final_weight = run.final_losses, run.final_weight
+        final_losses = run_stl_baselines(problem, _baseline_iters(cfg))
+    return _summary(cfg, baselines, final_losses, run), run
+
+
+def _trace_meta(cfg: RunConfig) -> list:
+    """The trace's metadata values of ``cfg``'s run, in ``_TRACE_META`` order."""
+    return [cfg.resolved_run_id(), cfg.method,
+            cfg.cost_kind if cfg.method == "autoscale" else "", cfg.seed,
+            cfg.semantic_hash()]
+
+
+def _summary(cfg: RunConfig, baselines: tuple[np.ndarray, str], final_losses,
+             run: TrainingRun | None) -> dict:
+    """The summary of ``cfg``'s run: the trace's metadata fields, then the
+    results.  ``baselines`` is what :func:`compute_baselines` returns, and
+    ``final_losses`` are the run's, or the single-task ones without a run."""
+    values, mode = baselines
+    summary: dict = dict(zip(_TRACE_META, _trace_meta(cfg)))
+    summary["baselines"] = [float(b) for b in values]
+    summary["baseline_mode"] = mode
     scores = [TaskScore(value=float(v), baseline=float(b))
-              for v, b in zip(final_losses, baselines)]
+              for v, b in zip(final_losses, values)]
     summary["final_losses"] = [float(v) for v in final_losses]
     summary["delta_m"] = delta_m(scores)
     summary["delta_m_deg"] = delta_m_deg(scores)
+    final_weight = None if run is None else run.final_weight
     summary["final_weights"] = (None if final_weight is None
                                 else [float(v) for v in final_weight.w])
     if run is not None:
@@ -327,10 +388,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    summary, run = execute_run(cfg)
+    summary, run = execute_run(cfg, args.trace)
     if args.trace and run is not None:
-        n = write_trace(args.trace, [summary[f] for f in _TRACE_META], run.columns)
-        print(f"trace: {args.trace} ({n} lines)")
+        print(f"trace: {args.trace} ({len(run.weights)} lines)")
     elif args.trace:
         print("trace: skipped (single-task baselines produce no joint trace)")
     if args.summary:
@@ -349,11 +409,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_chunk(cfgs: list[RunConfig], trace_dir: str | None) -> list[dict]:
+def _sweep_chunk(cfgs: list[RunConfig], trace_dir: str | None,
+                 baselines: tuple[np.ndarray, str]) -> list[dict]:
     """Train the fixed-weight sweep members ``cfgs`` in lockstep batches of at
-    most ``_SWEEP_BATCH`` and return their summaries, writing each member's
-    trace into ``trace_dir`` when given.  The first member that fails raises
-    its error, after the members before it are written."""
+    most ``_SWEEP_BATCH`` and return their summaries against ``baselines``,
+    writing each member's trace into ``trace_dir`` when given.  The first
+    member that fails raises its error, after the members before it are
+    written."""
     problem = build_problem(cfgs[0])     # every member's settings build the same problem
     summaries = []
     for lo in range(0, len(cfgs), _SWEEP_BATCH):
@@ -364,10 +426,10 @@ def _sweep_chunk(cfgs: list[RunConfig], trace_dir: str | None) -> list[dict]:
         for cfg, run in zip(batch, runs):
             if isinstance(run, ValueError):
                 raise run
-            summary = _summary(cfg, problem, run)
+            summary = _summary(cfg, baselines, run.final_losses, run)
             if trace_dir:
                 path = os.path.join(trace_dir, f"{cfg.resolved_run_id()}.jsonl")
-                write_trace(path, [summary[f] for f in _TRACE_META], run.columns)
+                write_trace(path, _trace_meta(cfg), run.columns)
                 summary["trace_path"] = path
             summaries.append(summary)
     return summaries
@@ -385,22 +447,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfgs = [RunConfig.from_dict({**cfg.to_dict(), "method": "fixed",
                                  "weights": list(wv.as_tuple()), "run_id": f"sweep-{i:03d}"})
             for i, wv in enumerate(weight_sets)]
+    # Every member shares the problem and the baseline iterations, so one
+    # set of baselines serves them all.
+    baselines = compute_baselines(problem, cfg)
     # Contiguous chunks, one per worker: a member's outputs do not depend on
     # its chunk or its batch, so they are the same for any --jobs.
     n_chunks = min(args.jobs, len(cfgs))
     bounds = [len(cfgs) * i // n_chunks for i in range(n_chunks + 1)]
     chunks = [cfgs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     if n_chunks == 1:
-        summaries = _sweep_chunk(chunks[0], trace_dir)
+        summaries = _sweep_chunk(chunks[0], trace_dir, baselines)
     else:
-        try:
-            with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-                summaries = [summary for chunk in pool.map(_sweep_chunk, chunks,
-                                                          [trace_dir] * n_chunks)
-                             for summary in chunk]
-        except BrokenExecutor as exc:
-            raise ChildProcessError(
-                f"a sweep worker ended without sending its results ({exc})") from None
+        with _worker_pool(n_chunks, "a sweep worker") as pool:
+            summaries = [summary for chunk in pool.map(_sweep_chunk, chunks, repeat(trace_dir),
+                                                      repeat(baselines))
+                         for summary in chunk]
 
     k = problem.num_tasks
     header = (["run_id"] + [f"weight_{i}" for i in range(k)] +

@@ -6,12 +6,17 @@ import math
 import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import fields
 
 import pytest
 
+import autoscale
 from autoscale import DivergenceError, TraceLine, cli, read_trace, sample_weight_sets
-from autoscale.cli import RunConfig, execute_run, main
+from autoscale.cli import RunConfig, build_problem, execute_run, main
 
 from helpers import write_trace_lines
 
@@ -22,6 +27,58 @@ QUAD = ["--problem", "quadratic", "--k", "2", "--dim", "3",
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+#: A small MLP run whose baselines are empirical, so they train in a worker.
+MLP = ["--problem", "mlp", "--k", "3", "--width", "8", "--n-samples", "16",
+       "--total-iters", "40", "--baseline-iters", "40"]
+
+#: Makes the Nth process start of the interpreter fail as fork does when
+#: the system is out of processes; N is filled in.
+FAIL_START = """\
+import errno, os
+from multiprocessing.process import BaseProcess
+start, starts = BaseProcess.start, []
+def failing(self):
+    starts.append(self)
+    if len(starts) == {n}:
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    start(self)
+BaseProcess.start = failing
+"""
+
+
+def _main_in_subprocess(*argvs, prelude=""):
+    """Run ``prelude``, then ``main`` on each argv until one fails, in a new
+    interpreter in a process group of its own; returns its exit code and
+    standard error.  It must exit within the timeout and leave no process of
+    its group alive."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(autoscale.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (f"{prelude}\nimport sys\nfrom autoscale.cli import main\n"
+              f"for argv in {list(argvs)!r}:\n"
+              "    rc = main(argv)\n"
+              "    if rc:\n"
+              "        sys.exit(rc)\n")
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the command did not exit within 30 s")
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            return proc.returncode, err
+        time.sleep(0.05)
+    os.killpg(proc.pid, signal.SIGKILL)
+    pytest.fail("a process of the command outlived it")
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +216,106 @@ def test_run_mlp_uses_stl_baselines(tmp_path):
                "--summary", str(summary)])
     assert rc == 0
     assert json.loads(summary.read_text())["baseline_mode"] == "stl"
+
+
+def _count_starts(monkeypatch) -> list:
+    """Every process the executor's default context starts from now on."""
+    started = []
+    process = multiprocessing.get_context().Process
+    start = process.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(process, "start", counted)
+    return started
+
+
+def test_only_empirical_baselines_of_a_joint_run_start_a_worker(monkeypatch):
+    """One worker trains an MLP run's baselines; exact baselines and the
+    single-task method start none.  No worker outlives its run."""
+    started = _count_starts(monkeypatch)
+    counts = []
+    for argv in (["--method", "unitary", *MLP], ["--method", "stl", *MLP],
+                 ["--method", "unitary", *QUAD, "--total-iters", "20"]):
+        before = len(started)
+        assert main(["run", *argv]) == 0
+        counts.append(len(started) - before)
+        assert multiprocessing.active_children() == []
+    assert counts == [1, 0, 0]
+
+
+def test_baseline_worker_gives_the_in_process_baselines(tmp_path):
+    cfg = RunConfig(method="autoscale", problem="mlp", k=3, width=8, n_samples=16,
+                    total_iters=40, baseline_iters=40, window_size=4, aggregation_size=2)
+    summary, run = execute_run(cfg)
+    baselines = cli.run_stl_baselines(build_problem(cfg), 40)
+    assert summary["baselines"] == [float(b) for b in baselines]
+    assert summary["final_losses"] == [float(v) for v in run.final_losses]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_mlp_run_stops_its_baseline_worker(tmp_path, capsys):
+    """The run diverges while its worker still trains the baselines: exit 3
+    with the divergence message, and the worker is gone."""
+    flags = ["--method", "unitary", "--problem", "mlp", "--k", "3", "--step-size", "5",
+             "--total-iters", "100"]
+    cfg = RunConfig(method="unitary", problem="mlp", k=3, step_size=5.0, total_iters=100)
+    with pytest.raises(DivergenceError) as diverged:
+        execute_run(cfg)
+    capsys.readouterr()
+    start = time.monotonic()
+    trace = tmp_path / "t.jsonl"
+    rc = main(["run", *flags, "--baseline-iters", "1000000", "--trace", str(trace)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {diverged.value}\n"
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+    assert not trace.exists()
+
+
+def test_a_dead_baseline_worker_is_a_named_error(tmp_path, monkeypatch, capsys):
+    """A baseline worker that exits without sending its results ends the run
+    with exit 2 and a named error; the trace, written before the wait, stays."""
+    monkeypatch.setattr(cli, "run_stl_baselines", lambda problem, iters: os._exit(1))
+    trace, summary = tmp_path / "t.jsonl", tmp_path / "s.json"
+    rc = main(["run", "--method", "unitary", *MLP, "--trace", str(trace),
+               "--summary", str(summary)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the baseline worker ended without sending its results (")
+    assert multiprocessing.active_children() == []
+    assert len(read_trace(trace)) == 40
+    assert not summary.exists()
+
+
+def test_an_mlp_run_that_cannot_start_its_worker_exits_2():
+    code, err = _main_in_subprocess(["run", "--method", "unitary", *MLP],
+                                    prelude=FAIL_START.format(n=1))
+    assert code == 2
+    assert err == "error: [Errno 11] Resource temporarily unavailable\n"
+
+
+def test_spawned_workers_give_the_same_outputs(tmp_path):
+    """An MLP run's summary and a --jobs 2 sweep, with workers started by
+    ``spawn``, are byte-identical to the default start method's."""
+    run = ["run", "--method", "autoscale", *MLP, "--window-size", "4",
+           "--aggregation-size", "2", "--run-id", "r"]
+    sweep = ["sweep", *QUAD, "--total-iters", "60", "--n", "5", "--write-traces"]
+    for name in ("default", "spawn"):
+        (tmp_path / name).mkdir()
+    assert main([*run, "--summary", str(tmp_path / "default" / "r.json"),
+                 "--trace", str(tmp_path / "default" / "r.jsonl")]) == 0
+    assert main([*sweep, "--jobs", "1", "--out-dir", str(tmp_path / "default")]) == 0
+    code, err = _main_in_subprocess(
+        [*run, "--summary", str(tmp_path / "spawn" / "r.json"),
+         "--trace", str(tmp_path / "spawn" / "r.jsonl")],
+        [*sweep, "--jobs", "2", "--out-dir", str(tmp_path / "spawn")],
+        prelude="import multiprocessing\nmultiprocessing.set_start_method('spawn')")
+    assert (code, err) == (0, "")
+    assert _outputs(tmp_path / "spawn") == _outputs(tmp_path / "default")
+    assert len(_outputs(tmp_path / "default")) == 8
 
 
 def test_run_traces_are_byte_identical(tmp_path):
@@ -440,15 +597,7 @@ def test_sweep_is_deterministic_and_job_count_invariant(tmp_path, monkeypatch):
 def test_sweep_starts_no_more_workers_than_members(tmp_path, monkeypatch):
     """--jobs J over N members starts min(J, N) worker processes, and none
     when that is one: the members then run in this process."""
-    started = []
-    process = multiprocessing.get_context().Process     # the executor's default context
-    start = process.start
-
-    def counted(self):
-        started.append(self)
-        start(self)
-
-    monkeypatch.setattr(process, "start", counted)
+    started = _count_starts(monkeypatch)
     counts = []
     for jobs, n in (("5000", "3"), ("2", "3"), ("1", "3")):
         before = len(started)
@@ -464,10 +613,10 @@ def test_a_dead_sweep_worker_is_a_named_error(tmp_path, monkeypatch, capsys):
     with exit 2 and a named error, and no summary is written."""
     summary = cli._summary
 
-    def dying(cfg, problem, run):
+    def dying(cfg, baselines, final_losses, run):
         if cfg.run_id == "sweep-002":
             os._exit(1)
-        return summary(cfg, problem, run)
+        return summary(cfg, baselines, final_losses, run)
 
     monkeypatch.setattr(cli, "_summary", dying)
     out_dir = tmp_path / "sw"
@@ -477,6 +626,37 @@ def test_a_dead_sweep_worker_is_a_named_error(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(
         "error: a sweep worker ended without sending its results (")
     assert not (out_dir / "sweep_summary.csv").exists()
+
+
+def test_a_sweep_that_cannot_start_a_worker_exits_2(tmp_path):
+    """The second worker fails to start: the first one is stopped, the sweep
+    exits 2 at once and writes no summary."""
+    out_dir = tmp_path / "sw"
+    code, err = _main_in_subprocess(
+        ["sweep", *QUAD, "--total-iters", "50", "--n", "20", "--jobs", "2",
+         "--out-dir", str(out_dir)], prelude=FAIL_START.format(n=2))
+    assert code == 2
+    assert err == "error: [Errno 11] Resource temporarily unavailable\n"
+    assert not (out_dir / "sweep_summary.csv").exists()
+
+
+def test_an_mlp_sweep_trains_its_baselines_once(tmp_path, monkeypatch):
+    """The members share one set of baselines, computed before the chunks;
+    the outputs are the same at --jobs 1 and 2."""
+    calls = []
+    train = cli.run_stl_baselines
+
+    def counted(problem, total_iters):
+        calls.append(total_iters)
+        return train(problem, total_iters)
+
+    monkeypatch.setattr(cli, "run_stl_baselines", counted)
+    argv = ["sweep", *MLP, "--n", "4", "--write-traces"]
+    assert main([*argv, "--jobs", "1", "--out-dir", str(tmp_path / "1")]) == 0
+    assert calls == [40]
+    assert main([*argv, "--jobs", "2", "--out-dir", str(tmp_path / "2")]) == 0
+    assert calls == [40, 40]
+    assert _outputs(tmp_path / "1") == _outputs(tmp_path / "2")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
