@@ -16,7 +16,7 @@ import pytest
 
 import autoscale
 from autoscale import DivergenceError, TraceLine, cli, read_trace, sample_weight_sets
-from autoscale.cli import RunConfig, build_problem, execute_run, main
+from autoscale.cli import RunConfig, execute_run, main
 
 from helpers import write_trace_lines
 
@@ -244,15 +244,6 @@ def test_only_empirical_baselines_of_a_joint_run_start_a_worker(monkeypatch):
         counts.append(len(started) - before)
         assert multiprocessing.active_children() == []
     assert counts == [1, 0, 0]
-
-
-def test_baseline_worker_gives_the_in_process_baselines(tmp_path):
-    cfg = RunConfig(method="autoscale", problem="mlp", k=3, width=8, n_samples=16,
-                    total_iters=40, baseline_iters=40, window_size=4, aggregation_size=2)
-    summary, run = execute_run(cfg)
-    baselines = cli.run_stl_baselines(build_problem(cfg), 40)
-    assert summary["baselines"] == [float(b) for b in baselines]
-    assert summary["final_losses"] == [float(v) for v in run.final_losses]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
