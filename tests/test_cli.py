@@ -15,7 +15,8 @@ from dataclasses import fields
 import pytest
 
 import autoscale
-from autoscale import DivergenceError, TraceLine, cli, read_trace, sample_weight_sets
+from autoscale import (DivergenceError, TraceLine, cli, read_trace, run_fixed_scalarization,
+                       sample_weight_sets, uniform_weights)
 from autoscale.cli import RunConfig, execute_run, main
 
 from helpers import write_trace_lines
@@ -252,10 +253,9 @@ def test_a_diverging_mlp_run_stops_its_baseline_worker(tmp_path, capsys):
     with the divergence message, and the worker is gone."""
     flags = ["--method", "unitary", "--problem", "mlp", "--k", "3", "--step-size", "5",
              "--total-iters", "100"]
-    cfg = RunConfig(method="unitary", problem="mlp", k=3, step_size=5.0, total_iters=100)
+    problem = cli.build_problem(RunConfig(problem="mlp", k=3, step_size=5.0))
     with pytest.raises(DivergenceError) as diverged:
-        execute_run(cfg)
-    capsys.readouterr()
+        run_fixed_scalarization(problem, uniform_weights(3), 100)
     start = time.monotonic()
     trace = tmp_path / "t.jsonl"
     rc = main(["run", *flags, "--baseline-iters", "1000000", "--trace", str(trace)])
