@@ -31,7 +31,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import WeightVector, make_weight_vector, spawn_rng
+from .core import WeightVector, _frozen_array, make_weight_vector, spawn_rng
 
 STREAM_PROBLEM = 0x01
 STREAM_DATA = 0x02
@@ -103,11 +103,9 @@ class QuadraticFamily:
     theta0: np.ndarray       # (D,)
 
     def __post_init__(self) -> None:
-        q = np.array(self.curvatures, dtype=float, copy=True)
-        c = np.array(self.centers, dtype=float, copy=True)
-        s = np.array(self.scales, dtype=float, copy=True)
-        b = np.array(self.offsets, dtype=float, copy=True)
-        t0 = np.array(self.theta0, dtype=float, copy=True)
+        for name in ("curvatures", "centers", "scales", "offsets", "theta0"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+        q, c, s, b, t0 = self.curvatures, self.centers, self.scales, self.offsets, self.theta0
         k, d = c.shape
         if q.shape != (k, d, d):
             raise ValueError(f"curvatures must be (K, D, D) = {(k, d, d)}, got {q.shape}")
@@ -123,13 +121,6 @@ class QuadraticFamily:
             raise ValueError("curvature matrices must be symmetric")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
-        for arr in (q, c, s, b, t0):
-            arr.setflags(write=False)
-        object.__setattr__(self, "curvatures", q)
-        object.__setattr__(self, "centers", c)
-        object.__setattr__(self, "scales", s)
-        object.__setattr__(self, "offsets", b)
-        object.__setattr__(self, "theta0", t0)
 
     @property
     def num_tasks(self) -> int:
@@ -279,18 +270,13 @@ class MLPRegressionFamily:
     step_size: float
 
     def __post_init__(self) -> None:
-        x = np.array(self.x, dtype=float, copy=True)
-        y = np.array(self.y, dtype=float, copy=True)
-        t0 = np.array(self.theta0, dtype=float, copy=True)
+        for name in ("x", "y", "theta0"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+        x, y, t0 = self.x, self.y, self.theta0
         if x.ndim != 2 or y.ndim != 2 or y.shape[1] != x.shape[0]:
             raise ValueError("x must be (n, input_dim) and y (K, n)")
         if t0.shape != (self._layout(x.shape[1], self.width, y.shape[0])[-1],):
             raise ValueError("theta0 length does not match the architecture")
-        for arr in (x, y, t0):
-            arr.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "theta0", t0)
 
     @staticmethod
     def _layout(input_dim: int, width: int, k: int):

@@ -9,8 +9,9 @@ Subcommands:
 * ``eval``    — score-file comparison table (delta_m / delta_m_deg / ranks).
 
 Empirical single-task baselines (``mlp``) train in one worker process beside
-a joint run, exact baselines and ``--method stl`` start no process, and a
-sweep computes its baselines once for all members.
+a joint run; exact baselines and ``--method stl`` start no process.  A sweep
+computes its baselines once and trains its members in lockstep batches, which
+are the tasks of its worker pool.
 
 A JSON config file can replace the flags; explicit flags override it.  Unknown
 keys are rejected and every value is checked against its ``RunConfig`` field's
@@ -72,8 +73,8 @@ _TRACE_COLUMNS = {"mean_gms": "gms_mean", "mean_gcs": "gcs_mean", "mean_cond": "
 SUMMARY_METRICS = tuple(_TRACE_COLUMNS)
 #: The trace's metadata fields, which a run summary begins with.
 _TRACE_META = TRACE_FIELDS[:TRACE_FIELDS.index("iter")]
-#: Most sweep members one process trains in lockstep; bounds a worker's
-#: memory, which would otherwise grow with ``--n``.
+#: Most members of one sweep batch, which one process trains in lockstep;
+#: bounds a worker's memory, which would otherwise grow with ``--n``.
 _SWEEP_BATCH = 10
 
 
@@ -409,29 +410,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_chunk(cfgs: list[RunConfig], trace_dir: str | None,
+def _sweep_batch(cfgs: list[RunConfig], trace_dir: str | None,
                  baselines: tuple[np.ndarray, str]) -> list[dict]:
-    """Train the fixed-weight sweep members ``cfgs`` in lockstep batches of at
-    most ``_SWEEP_BATCH`` and return their summaries against ``baselines``,
-    writing each member's trace into ``trace_dir`` when given.  The first
-    member that fails raises its error, after the members before it are
-    written."""
+    """Train the fixed-weight sweep members ``cfgs`` in lockstep and return
+    their summaries against ``baselines``, writing each member's trace into
+    ``trace_dir`` when given.  The first member that fails raises its error,
+    after the members before it are written."""
     problem = build_problem(cfgs[0])     # every member's settings build the same problem
+    runs = run_fixed_scalarization(
+        problem, [make_weight_vector(np.asarray(cfg.weights)) for cfg in cfgs], cfgs[0].total_iters)
     summaries = []
-    for lo in range(0, len(cfgs), _SWEEP_BATCH):
-        batch = cfgs[lo:lo + _SWEEP_BATCH]
-        runs = run_fixed_scalarization(
-            problem, [make_weight_vector(np.asarray(cfg.weights)) for cfg in batch],
-            batch[0].total_iters)
-        for cfg, run in zip(batch, runs):
-            if isinstance(run, ValueError):
-                raise run
-            summary = _summary(cfg, baselines, run.final_losses, run)
-            if trace_dir:
-                path = os.path.join(trace_dir, f"{cfg.resolved_run_id()}.jsonl")
-                write_trace(path, _trace_meta(cfg), run.columns)
-                summary["trace_path"] = path
-            summaries.append(summary)
+    for cfg, run in zip(cfgs, runs):
+        if isinstance(run, ValueError):
+            raise run
+        summary = _summary(cfg, baselines, run.final_losses, run)
+        if trace_dir:
+            path = os.path.join(trace_dir, f"{cfg.resolved_run_id()}.jsonl")
+            write_trace(path, _trace_meta(cfg), run.columns)
+            summary["trace_path"] = path
+        summaries.append(summary)
     return summaries
 
 
@@ -450,18 +447,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Every member shares the problem and the baseline iterations, so one
     # set of baselines serves them all.
     baselines = compute_baselines(problem, cfg)
-    # Contiguous chunks, one per worker: a member's outputs do not depend on
-    # its chunk or its batch, so they are the same for any --jobs.
-    n_chunks = min(args.jobs, len(cfgs))
-    bounds = [len(cfgs) * i // n_chunks for i in range(n_chunks + 1)]
-    chunks = [cfgs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    if n_chunks == 1:
-        summaries = _sweep_chunk(chunks[0], trace_dir, baselines)
+    # Contiguous lockstep batches of at most _SWEEP_BATCH members, and at least
+    # one per worker, are the pool's tasks: a member's outputs do not depend on
+    # its batch, so they are the same for any --jobs.
+    n_batches = max(min(args.jobs, len(cfgs)), math.ceil(len(cfgs) / _SWEEP_BATCH))
+    bounds = [len(cfgs) * i // n_batches for i in range(n_batches + 1)]
+    batches = [cfgs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    workers = min(args.jobs, n_batches)
+    if workers == 1:
+        summaries = [s for batch in batches for s in _sweep_batch(batch, trace_dir, baselines)]
     else:
-        with _worker_pool(n_chunks, "a sweep worker") as pool:
-            summaries = [summary for chunk in pool.map(_sweep_chunk, chunks, repeat(trace_dir),
-                                                      repeat(baselines))
-                         for summary in chunk]
+        with _worker_pool(workers, "a sweep worker") as pool:
+            summaries = [s for batch in pool.map(_sweep_batch, batches, repeat(trace_dir),
+                                                 repeat(baselines)) for s in batch]
 
     k = problem.num_tasks
     header = (["run_id"] + [f"weight_{i}" for i in range(k)] +

@@ -13,11 +13,11 @@ of its member.  The recorded columns are the run's result; a window is a
 strided slice of them.  A window whose objective is non-finite although its
 rows are finite is divergence too.
 
-The two-phase run explores for the first ``exploration_ratio`` of the budget,
-re-solving after every ``window_size`` iterations for the weights minimizing
-the window cost (closed-form QP for quadratic costs, simplex search from the
-previous weights for low-cond), then trains out the budget at the mean of the
-last ``aggregation_size`` window weights, re-projected.
+The two-phase run explores for the first ``exploration_ratio`` of the budget.
+After every ``window_size`` iterations :func:`_window_step` re-solves for the
+weights minimizing the window cost (closed-form QP for quadratic costs, simplex
+search from the previous weights for low-cond).  The run then trains out the
+budget at the mean of the last ``aggregation_size`` window weights, re-projected.
 """
 from __future__ import annotations
 
@@ -296,6 +296,30 @@ class _Descent:
                            gram_upper=self.gram_upper[member], solver_reports=tuple(reports))
 
 
+def _window_step(kind: CostKind, window: WindowBuffer, current: WeightVector, seed: int,
+                 index: int) -> tuple[WeightVector, SolverReport]:
+    """Solve window ``index`` from the weights ``current``: the weights kept
+    and the report.  Finite rows can still overflow the window objective (M
+    for the quadratic kinds, the cost at ``current`` for low-cond), a
+    DivergenceError for the caller to place in the run.  A solve that
+    regresses the window cost, even at float level, keeps ``current``."""
+    incumbent = window_cost(kind, current, window)
+    m = quadratic_form(kind, window) if kind.is_quadratic else None
+    if not np.isfinite(incumbent if m is None else m).all():
+        raise DivergenceError("non-finite window objective")
+    if m is not None:
+        report = solve_quadratic(m)
+    else:
+        child = seed_sequence(seed, _SOLVER_STREAM, index)
+        report = solve_general(lambda wv: window_cost(kind, wv, window), w_init=current,
+                               seed=int(child.generate_state(1, dtype=np.uint64)[0]))
+    if report.cost_at_w_star <= incumbent * (1.0 + 1e-12) + 1e-15:
+        return report.w_star, report
+    logger.warning("window %d solve regressed (%.3e > %.3e); keeping previous "  # pragma: no cover
+                   "weights", index, report.cost_at_w_star, incumbent)
+    return current, report
+
+
 def run_autoscale(problem, config: AutoScaleConfig) -> TrainingRun:
     """Full two-phase run on ``problem`` under ``config``."""
     k = problem.num_tasks
@@ -319,33 +343,14 @@ def run_autoscale(problem, config: AutoScaleConfig) -> TrainingRun:
         if metric_record(grad, loss, current) != record_at(descent.columns(0), t, t, current.w):
             logger.warning("window %d: iteration %d records differently alone "
                            "than in its block", w_index, t)
-        # Finite rows can still overflow the window objective: that is
-        # divergence too, not a fault of the solver.
-        incumbent = window_cost(config.cost_kind, current, window)
-        m = quadratic_form(config.cost_kind, window) if config.cost_kind.is_quadratic else None
-        if not np.isfinite(incumbent if m is None else m).all():
+        try:
+            current, report = _window_step(config.cost_kind, window, current, config.seed, w_index)
+        except DivergenceError as exc:
             raise DivergenceError(
                 f"training diverged in window {w_index} (iterations {start} to "
-                f"{descent.t - 1}): non-finite window objective; largest task loss "
-                f"{float(losses[start:descent.t].max())!r}")
-        if m is not None:
-            report = solve_quadratic(m)
-        else:
-            child = seed_sequence(config.seed, _SOLVER_STREAM, w_index)
-            report = solve_general(
-                lambda wv: window_cost(config.cost_kind, wv, window),
-                w_init=current,
-                seed=int(child.generate_state(1, dtype=np.uint64)[0]),
-            )
+                f"{descent.t - 1}): {exc}; largest task loss "
+                f"{float(losses[start:descent.t].max())!r}") from None
         reports.append(report)
-        # The solve may never regress the window cost; on a (float-level)
-        # regression keep the previous weights.
-        if report.cost_at_w_star <= incumbent * (1.0 + 1e-12) + 1e-15:
-            current = report.w_star
-        else:  # pragma: no cover - defensive, solvers guarantee this
-            logger.warning("window %d solve regressed (%.3e > %.3e); keeping "
-                           "previous weights", w_index, report.cost_at_w_star,
-                           incumbent)
         window_weights.append(current)
 
     if config.num_windows > 0:

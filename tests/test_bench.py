@@ -1,4 +1,5 @@
 """Synthetic problem families, baselines, and weight-sampling utilities."""
+import dataclasses
 import math
 
 import numpy as np
@@ -96,6 +97,24 @@ def test_a_batch_of_parameters_gives_each_row_its_own_values_bitwise(family):
         assert row_losses.tobytes() == problem.task_losses(theta).tobytes()
         assert row_grads.tobytes() == problem.task_gradients(theta).tobytes()
         assert row_subset.tobytes() == problem.task_gradients(theta, (2, 0)).tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_a_family_keeps_read_only_copies_of_its_arrays(family):
+    """Writing to the caller's arrays after construction changes no loss, and
+    writing to a stored array raises."""
+    problem = _FAMILIES[family]
+    given = {f.name: getattr(problem, f.name) for f in dataclasses.fields(problem)}
+    arrays = {name: np.array(v) for name, v in given.items() if isinstance(v, np.ndarray)}
+    built = type(problem)(**{**given, **arrays})
+    theta = problem.initial_theta() + 0.1
+    want = (built.initial_theta().tobytes(), built.task_losses(theta).tobytes())
+    for name, array in arrays.items():
+        array += 1.0
+        assert (built.initial_theta().tobytes(), built.task_losses(theta).tobytes()) == want
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(built, name)[...] = 0.0
+    assert len(arrays) == {"quadratic": 5, "mlp": 3}[family]
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))

@@ -600,7 +600,7 @@ def test_sweep_starts_no_more_workers_than_members(tmp_path, monkeypatch):
 
 
 def test_a_dead_sweep_worker_is_a_named_error(tmp_path, monkeypatch, capsys):
-    """A worker that exits without sending its chunk's results ends the sweep
+    """A worker that exits without sending its batch's results ends the sweep
     with exit 2 and a named error, and no summary is written."""
     summary = cli._summary
 
@@ -632,7 +632,7 @@ def test_a_sweep_that_cannot_start_a_worker_exits_2(tmp_path):
 
 
 def test_an_mlp_sweep_trains_its_baselines_once(tmp_path, monkeypatch):
-    """The members share one set of baselines, computed before the chunks;
+    """The members share one set of baselines, computed before the batches;
     the outputs are the same at --jobs 1 and 2."""
     calls = []
     train = cli.run_stl_baselines

@@ -12,7 +12,9 @@ from autoscale import (
     LossSnapshot,
     QuadraticFamily,
     SolverMethod,
+    WindowBuffer,
     aggregate_final_weight,
+    make_mlp_problem,
     make_quadratic_problem,
     make_weight_vector,
     metric_record,
@@ -136,8 +138,9 @@ def test_run_shapes_and_counts():
     assert run.gram_upper.shape == (300, 3)
     assert len(run.window_weights) == cfg.num_windows
     assert run.weights.shape == (300, 2)
-    assert len(run.solver_reports) == cfg.num_windows
-    assert all(r.method is SolverMethod.CLOSED_FORM_QP for r in run.solver_reports)
+    reports = _step_windows(run, cfg)
+    assert len(reports) == cfg.num_windows
+    assert all(r.method is SolverMethod.CLOSED_FORM_QP for r in reports)
 
 
 def test_weights_constant_within_each_window_and_phase2():
@@ -184,6 +187,51 @@ def _rebuild_window(run, start, stop):
     return window(pairs)
 
 
+def _run_window(run, start, stop, stride):
+    """Every ``stride``-th row of ``run`` in [start, stop) as the window the
+    run solved, its Grams rebuilt from their recorded upper triangles."""
+    rows = slice(start, stop, stride)
+    upper, k = run.gram_upper[rows], run.losses.shape[1]
+    grams = np.empty((len(upper), k, k))
+    i, j = np.triu_indices(k)
+    grams[:, i, j] = upper
+    grams[:, j, i] = upper
+    return WindowBuffer(run.grad_norms[rows], grams, run.losses[rows])
+
+
+def _report_bits(report):
+    return (report.w_star.w.tobytes(), np.float64(report.cost_at_w_star).tobytes(),
+            report.iterations, report.converged, report.method)
+
+
+def _step_windows(run, cfg):
+    """Step each window of ``run`` through ``scheduler._window_step`` from the
+    weights the run trained it at; the step must return the run's report and
+    next weights bit for bit.  Returns the step's reports."""
+    reports, tau = [], cfg.window_size
+    current = uniform_weights(run.losses.shape[1])
+    for i in range(cfg.num_windows):
+        win = _run_window(run, i * tau, (i + 1) * tau, cfg.snapshot_stride)
+        kept, report = scheduler._window_step(cfg.cost_kind, win, current, cfg.seed, i)
+        assert _report_bits(report) == _report_bits(run.solver_reports[i])
+        assert kept.w.tobytes() == run.window_weights[i].w.tobytes()
+        reports.append(report)
+        current = run.window_weights[i]
+    return reports
+
+
+@pytest.mark.parametrize("kind, stride", [("equal-grad-norm", 1), ("equal-loss", 1),
+                                          ("low-cond", 1), ("low-cond", 2)])
+def test_the_window_step_gives_the_runs_reports_and_weights(kind, stride):
+    """A window taken from a finished run, stepped on its own, gives that
+    run's solver report and next weights bit for bit.  On this problem every
+    low-cond window cost lies far below the 1e6 at which the eigenvalue floor
+    caps cond, so the search, its seed and the stride all tell."""
+    cfg = _phase_config(cost_kind=kind, snapshot_stride=stride, seed=7)
+    run = run_autoscale(make_mlp_problem(k=3, input_dim=2, width=8, n_samples=16, seed=1), cfg)
+    assert len(_step_windows(run, cfg)) == cfg.num_windows == 3
+
+
 @pytest.mark.parametrize("stride", [1, 3])
 def test_descent_window_equals_the_snapshot_pair_window(stride):
     """The columnar window of a descent equals the window of the snapshot
@@ -225,7 +273,7 @@ def test_low_cond_uses_simplex_search():
     problem = _small_problem()
     cfg = _phase_config(cost_kind="low-cond")
     run = run_autoscale(problem, cfg)
-    assert all(r.method is SolverMethod.SIMPLEX_SEARCH for r in run.solver_reports)
+    assert all(r.method is SolverMethod.SIMPLEX_SEARCH for r in _step_windows(run, cfg))
 
 
 def test_snapshot_stride_thins_the_buffer():
