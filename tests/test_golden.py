@@ -14,6 +14,8 @@ that moves results on purpose re-pins them here and says why.
 
 The analyze cases pin the CSVs ``autoscale analyze`` writes: one sweep's
 trajectory, aggregate and correlation tables, and one ``--smooth 3`` run.
+The ``mlp`` sweep case pins a sweep's summary and every member's trace on
+the MLP family, whose members descend in lockstep on (R, D) parameters.
 
 Digests were recorded with numpy 2.4.6 (OpenBLAS 0.3.31), Python 3.11, x86-64.
 Another numpy or BLAS build may round differently and produce other digests.
@@ -167,3 +169,21 @@ def analyze_case(name, tmp_path):
 @pytest.mark.parametrize("name", ["smooth3", "sweep"])
 def test_analyze_digest(name, tmp_path):
     assert analyze_case(name, tmp_path) == ANALYZE_DIGESTS[name]
+
+
+MLP_SWEEP_ARGS = ("--problem", "mlp", "--k", "3", "--n", "4", "--total-iters", "100",
+                  "--baseline-iters", "50", "--seed", "1", "--jobs", "1", "--write-traces")
+#: the mlp sweep's output file -> sha256
+MLP_SWEEP_DIGESTS = {
+    "sweep-000.jsonl": "1187d28d438031317fa465580659aa5ee084bd5e53d6f9c52808862dddd20881",
+    "sweep-001.jsonl": "d67b66dc694af69629b6791a08c700bda0ab96c00fc0a0f8152d45aa47c585f8",
+    "sweep-002.jsonl": "7b86e3ebef38de1cd379102d90b97cd8eac0aebe430852b1164cb2ea248e2dcd",
+    "sweep-003.jsonl": "4350a0bcb7286c68f8012324df5ca912565cdc9b13d9cf8a7d8e3c935ce1499b",
+    "sweep_summary.csv": "34c4683c467bacbf5afd9f7322b5ef113f5aa8fc6ef4207d1ab71437cd600a4c",
+}
+
+
+def test_mlp_sweep_digest(tmp_path):
+    assert cli.main(["sweep", *MLP_SWEEP_ARGS, "--out-dir", str(tmp_path)]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.iterdir())} == MLP_SWEEP_DIGESTS
