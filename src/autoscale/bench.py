@@ -19,9 +19,10 @@ A problem object exposes ``num_tasks``, ``full_dim``, ``step_size``,
 is plain fixed-step descent on the weighted total loss.  Without ``tasks``
 the gradients are the full (K, full_dim) matrix; with it, only the listed
 tasks are computed, row ``i`` for task ``tasks[i]``, and an entry that is not
-an int in [0, K) raises ``ValueError``.  The single-task baselines ask for
-one row per step.  Both also take an (R, full_dim) batch of parameters
-(see :class:`MultiTaskProblem`).
+an int in [0, K) raises ``ValueError``.  Both also take an (R, full_dim)
+batch of parameters, and the gradients an (R, T) task array, one row of
+tasks per parameter row (see :class:`MultiTaskProblem`).  The K single-task
+baselines step in lockstep, each asking for its own task's row.
 """
 from __future__ import annotations
 
@@ -65,21 +66,28 @@ class MultiTaskProblem(Protocol):
     def task_gradients(self, theta: np.ndarray,
                        tasks: Sequence[int] | None = None) -> np.ndarray:
         """(len(tasks), full_dim) gradients, row i for task ``tasks[i]``, or
-        (R, len(tasks), full_dim) for a batch.
+        (R, T, full_dim) for a batch.
 
-        ``tasks=None`` is the full (K, full_dim) matrix.  An entry that is not
-        an int in [0, K) raises ``ValueError``.
+        ``tasks=None`` is the full (K, full_dim) matrix.  For a batch,
+        ``tasks`` is a sequence shared by every row or an (R, T) array whose
+        row r lists the tasks of ``theta[r]``; a task array of another row
+        count, or an entry that is not an int in [0, K), raises
+        ``ValueError``.
         """
         ...
 
 
-def _task_rows(tasks: Sequence[int], k: int) -> list[int]:
-    """``tasks`` as a list after checking each entry is an int in [0, k)."""
-    rows = list(tasks)
-    for t in rows:
+def _task_rows(tasks, k: int, theta: np.ndarray) -> np.ndarray:
+    """``tasks`` as an int array, (T,) or (R, T) for an (R, full_dim) ``theta``,
+    after checking each entry is an int in [0, k)."""
+    table = np.ndim(tasks) == 2
+    rows = [list(row) for row in tasks] if table else [list(tasks)]
+    if table and (theta.ndim != 2 or len(rows) != len(theta)):
+        raise ValueError(f"{len(rows)} rows of tasks for parameters of shape {theta.shape}")
+    for t in (t for row in rows for t in row):
         if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t < k:
             raise ValueError(f"task index {t!r} is not an int in [0, K) for K = {k}")
-    return rows
+    return np.array(rows if table else rows[0], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +158,10 @@ class QuadraticFamily:
                        tasks: Sequence[int] | None = None) -> np.ndarray:
         centers, curvatures, scales = self.centers, self.curvatures, self.scales
         if tasks is not None:
-            rows = _task_rows(tasks, self.num_tasks)
+            rows = _task_rows(tasks, self.num_tasks, theta)
             centers, curvatures, scales = centers[rows], curvatures[rows], scales[rows]
         diffs = theta[..., None, :] - centers
-        return scales[:, None] * np.einsum("kde,...ke->...kd", curvatures, diffs)
+        return scales[..., None] * np.einsum("...kde,...ke->...kd", curvatures, diffs)
 
 
 def _equiangular_directions(k: int, d: int, conflict_angle: float,
@@ -259,8 +267,10 @@ class MLPRegressionFamily:
 
     Parameters pack as [W1 | b1 | W2 | b2 | heads...]; the shared slice covers
     the trunk.  Gradients are exact reverse-mode, written out by hand.  An
-    (R, D) batch of parameters is computed one row at a time: a backward pass
-    batched over the rows would round differently from a single run's.
+    (R, D) batch takes one forward pass and one backward pass for every
+    (row, task) pair, stacked: each product is one matmul per pair and each
+    sum runs along the axis a single row's does, so every row rounds as it
+    would alone.
     """
 
     x: np.ndarray          # (n, input_dim)
@@ -277,6 +287,7 @@ class MLPRegressionFamily:
             raise ValueError("x must be (n, input_dim) and y (K, n)")
         if t0.shape != (self._layout(x.shape[1], self.width, y.shape[0])[-1],):
             raise ValueError("theta0 length does not match the architecture")
+        object.__setattr__(self, "_memo", None)
 
     @staticmethod
     def _layout(input_dim: int, width: int, k: int):
@@ -317,63 +328,60 @@ class MLPRegressionFamily:
         return np.array(self.theta0, copy=True)
 
     def _unpack(self, theta: np.ndarray):
+        """Views of an (R, full_dim) batch: W1, b1, W2, b2 and the (R, K,
+        width + 1) heads."""
         i, w, k = self.input_dim, self.width, self.num_tasks
         n_w1, n_b1, n_w2, n_b2, trunk, per_head, _ = self._layout(i, w, k)
+        r = len(theta)
         pos = 0
-        w1 = theta[pos:pos + n_w1].reshape(i, w); pos += n_w1
-        b1 = theta[pos:pos + n_b1]; pos += n_b1
-        w2 = theta[pos:pos + n_w2].reshape(w, w); pos += n_w2
-        b2 = theta[pos:pos + n_b2]; pos += n_b2
-        heads = theta[trunk:].reshape(k, per_head)
+        w1 = theta[:, pos:pos + n_w1].reshape(r, i, w); pos += n_w1
+        b1 = theta[:, pos:pos + n_b1]; pos += n_b1
+        w2 = theta[:, pos:pos + n_w2].reshape(r, w, w); pos += n_w2
+        b2 = theta[:, pos:pos + n_b2]; pos += n_b2
+        heads = theta[:, trunk:].reshape(r, k, per_head)
         return w1, b1, w2, b2, heads
 
-    def _forward(self, w1, b1, w2, b2, heads):
-        h1 = np.tanh(self.x @ w1 + b1)
-        h2 = np.tanh(h1 @ w2 + b2)
-        preds = h2 @ heads[:, :-1].T + heads[:, -1]     # (n, K)
+    def _forward(self, theta: np.ndarray):
+        """h1, h2 (R, n, width) and preds (R, n, K) of an (R, full_dim) batch.
+
+        The last batch's are kept with a copy of its values, so a step's
+        losses and gradients share one pass; a NaN never equals the copy."""
+        if self._memo is not None and np.array_equal(self._memo[0], theta):
+            return self._memo[1]
+        w1, b1, w2, b2, heads = self._unpack(theta)
+        h1 = np.tanh(self.x @ w1 + b1[:, None])
+        h2 = np.tanh(h1 @ w2 + b2[:, None])
+        preds = h2 @ heads[..., :-1].transpose(0, 2, 1) + heads[:, None, :, -1]
+        object.__setattr__(self, "_memo", (theta.copy(), (h1, h2, preds)))
         return h1, h2, preds
 
     def task_losses(self, theta: np.ndarray) -> np.ndarray:
-        if theta.ndim == 2:     # one member at a time, see the class docstring
-            return np.array([self.task_losses(row) for row in theta])
-        _, _, preds = self._forward(*self._unpack(theta))
-        residual = preds.T - self.y                     # (K, n)
-        return np.mean(residual ** 2, axis=1)
+        preds = self._forward(np.atleast_2d(theta))[2]
+        losses = np.mean((preds.transpose(0, 2, 1) - self.y) ** 2, axis=-1)    # (R, K)
+        return losses if theta.ndim == 2 else losses[0]
 
     def task_gradients(self, theta: np.ndarray,
                        tasks: Sequence[int] | None = None) -> np.ndarray:
-        if theta.ndim == 2:
-            return np.array([self.task_gradients(row, tasks) for row in theta])
-        params = self._unpack(theta)
-        _, _, w2, _, heads = params
-        n = self.x.shape[0]
-        k = self.num_tasks
-        rows = range(k) if tasks is None else _task_rows(tasks, k)
-        h1, h2, preds = self._forward(*params)
-        grads = np.zeros((len(rows), self.full_dim))
-        d_h2_pre_base = 1.0 - h2 ** 2                   # tanh'
-        d_h1_pre_base = 1.0 - h1 ** 2
-        trunk = self.trunk_dim
-        per_head = self.width + 1
-        for i, t in enumerate(rows):
-            d_pred = 2.0 * (preds[:, t] - self.y[t]) / n          # (n,)
-            d_v = h2.T @ d_pred                                   # (width,)
-            d_c = float(d_pred.sum())
-            d_h2 = np.outer(d_pred, heads[t, :-1])                # (n, width)
-            d_a2 = d_h2 * d_h2_pre_base
-            d_w2 = h1.T @ d_a2
-            d_b2 = d_a2.sum(axis=0)
-            d_h1 = d_a2 @ w2.T
-            d_a1 = d_h1 * d_h1_pre_base
-            d_w1 = self.x.T @ d_a1
-            d_b1 = d_a1.sum(axis=0)
-            flat_trunk = np.concatenate(
-                [d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
-            grads[i, :trunk] = flat_trunk
-            start = trunk + t * per_head
-            grads[i, start:start + self.width] = d_v
-            grads[i, start + self.width] = d_c
-        return grads
+        batch = np.atleast_2d(theta)
+        r, k, n = len(batch), self.num_tasks, self.x.shape[0]
+        _, _, w2, _, heads = self._unpack(batch)
+        h1, h2, preds = self._forward(batch)
+        idx = np.arange(k) if tasks is None else _task_rows(tasks, k, theta)
+        idx = np.broadcast_to(idx, (r, idx.shape[-1]))                        # (R, T)
+        rows, cols = np.arange(r)[:, None], np.arange(idx.shape[1])
+        # One backward pass per (row, task) pair, stacked on the (R, T) axes.
+        d_pred = 2.0 * (preds.transpose(0, 2, 1)[rows, idx] - self.y[idx]) / n   # (R, T, n)
+        d_a2 = d_pred[..., None] * heads[rows, idx, None, :-1] * (1.0 - h2 ** 2)[:, None]
+        d_a1 = (d_a2 @ w2.transpose(0, 2, 1)[:, None]) * (1.0 - h1 ** 2)[:, None]
+        d_w1 = self.x.T @ d_a1
+        d_w2 = h1.transpose(0, 2, 1)[:, None] @ d_a2
+        head = np.zeros((*idx.shape, k, self.width + 1))     # only task t's head moves
+        head[rows, cols, idx, :-1] = (h2.transpose(0, 2, 1)[:, None] @ d_pred[..., None])[..., 0]
+        head[rows, cols, idx, -1] = d_pred.sum(axis=-1)
+        grads = np.concatenate([d_w1.reshape(*idx.shape, -1), d_a1.sum(axis=2),
+                                d_w2.reshape(*idx.shape, -1), d_a2.sum(axis=2),
+                                head.reshape(*idx.shape, -1)], axis=-1)
+        return grads if theta.ndim == 2 else grads[0]
 
 
 def make_mlp_problem(k: int, input_dim: int = 2, width: int = 16,
@@ -421,22 +429,23 @@ def run_stl_baselines(problem, total_iters: int) -> np.ndarray:
     """Best per-task loss from independent single-task training runs.
 
     Task k trains alone (descent on l_k only) from the shared initial point;
-    the returned baseline is the best loss seen along each run.  Each step
-    computes the gradient of task k alone.
+    the returned baseline is the best loss seen along each run, which a NaN
+    loss never replaces.  The K runs step in lockstep as the rows of a (K, D)
+    batch, row k computing the gradient of task k alone.
     """
     if total_iters < 1:
         raise ValueError("total_iters must be >= 1")
     k = problem.num_tasks
     h = problem.step_size
+    tasks = np.arange(k)[:, None]
+    theta = np.repeat(np.array(problem.initial_theta(), dtype=float)[None], k, 0)
     best = np.full(k, np.inf)
-    for task in range(k):
-        theta = np.array(problem.initial_theta(), dtype=float)
-        for _ in range(total_iters):
-            losses = problem.task_losses(theta)
-            best[task] = min(best[task], float(losses[task]))
-            theta = theta - h * np.asarray(problem.task_gradients(theta, (task,)))[0]
-        best[task] = min(best[task], float(problem.task_losses(theta)[task]))
-    return best
+    for _ in range(total_iters):
+        losses = np.diagonal(problem.task_losses(theta))
+        best = np.where(losses < best, losses, best)     # Python's min(best, loss)
+        theta = theta - h * np.asarray(problem.task_gradients(theta, tasks))[:, 0]
+    losses = np.diagonal(problem.task_losses(theta))
+    return np.where(losses < best, losses, best)
 
 
 def sample_weight_sets(n: int, k: int, seed: int = 0,

@@ -2,8 +2,9 @@
 
 The oracles compute slowly and literally what the library computes in
 stacked form: window costs one iteration at a time, metric records one task
-pair at a time, gradients by central differences, single-task baselines from
-the full gradient matrix; plus the closed-form weighted optimum of a quadratic
+pair at a time, gradients by central differences, MLP losses and gradients
+for one parameter row and one task at a time, single-task baselines from the
+full gradient matrix; plus the closed-form weighted optimum of a quadratic
 family, which fixed-weight training must reach.
 """
 import math
@@ -381,6 +382,60 @@ def finite_difference_gradients(problem, theta: np.ndarray) -> np.ndarray:
         minus[i] -= step
         grads[:, i] = (np.asarray(problem.task_losses(plus)) -
                        np.asarray(problem.task_losses(minus))) / (2.0 * step)
+    return grads
+
+
+def _mlp_forward(problem, theta):
+    """One parameter row of an ``MLPRegressionFamily``: its unpacked
+    parameters and its forward pass."""
+    i, w, k = problem.input_dim, problem.width, problem.num_tasks
+    n_w1, n_b1, n_w2, n_b2, trunk, per_head, _ = problem._layout(i, w, k)
+    pos = 0
+    w1 = theta[pos:pos + n_w1].reshape(i, w); pos += n_w1
+    b1 = theta[pos:pos + n_b1]; pos += n_b1
+    w2 = theta[pos:pos + n_w2].reshape(w, w); pos += n_w2
+    b2 = theta[pos:pos + n_b2]
+    heads = theta[trunk:].reshape(k, per_head)
+    h1 = np.tanh(problem.x @ w1 + b1)
+    h2 = np.tanh(h1 @ w2 + b2)
+    preds = h2 @ heads[:, :-1].T + heads[:, -1]     # (n, K)
+    return w2, heads, h1, h2, preds
+
+
+def oracle_mlp_task_losses(problem, theta):
+    """(K,) losses of one parameter row of an ``MLPRegressionFamily``."""
+    preds = _mlp_forward(problem, theta)[-1]
+    residual = preds.T - problem.y                  # (K, n)
+    return np.mean(residual ** 2, axis=1)
+
+
+def oracle_mlp_task_gradients(problem, theta, tasks=None):
+    """(len(tasks), full_dim) gradients of one parameter row of an
+    ``MLPRegressionFamily``, one backward pass per task."""
+    w2, heads, h1, h2, preds = _mlp_forward(problem, theta)
+    n = problem.x.shape[0]
+    rows = range(problem.num_tasks) if tasks is None else tasks
+    grads = np.zeros((len(rows), problem.full_dim))
+    d_h2_pre_base = 1.0 - h2 ** 2                   # tanh'
+    d_h1_pre_base = 1.0 - h1 ** 2
+    trunk = problem.trunk_dim
+    per_head = problem.width + 1
+    for i, t in enumerate(rows):
+        d_pred = 2.0 * (preds[:, t] - problem.y[t]) / n          # (n,)
+        d_v = h2.T @ d_pred                                      # (width,)
+        d_c = float(d_pred.sum())
+        d_h2 = np.outer(d_pred, heads[t, :-1])                   # (n, width)
+        d_a2 = d_h2 * d_h2_pre_base
+        d_w2 = h1.T @ d_a2
+        d_b2 = d_a2.sum(axis=0)
+        d_h1 = d_a2 @ w2.T
+        d_a1 = d_h1 * d_h1_pre_base
+        d_w1 = problem.x.T @ d_a1
+        d_b1 = d_a1.sum(axis=0)
+        grads[i, :trunk] = np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
+        start = trunk + t * per_head
+        grads[i, start:start + problem.width] = d_v
+        grads[i, start + problem.width] = d_c
     return grads
 
 

@@ -22,7 +22,13 @@ from autoscale import (
     pairwise_mean,
 )
 
-from helpers import finite_difference_gradients, oracle_stl_baselines, weighted_optimum
+from helpers import (
+    finite_difference_gradients,
+    oracle_mlp_task_gradients,
+    oracle_mlp_task_losses,
+    oracle_stl_baselines,
+    weighted_optimum,
+)
 
 # One instance of each family with K >= 3, so subsets can be reordered.
 _FAMILIES = {
@@ -92,11 +98,17 @@ def test_a_batch_of_parameters_gives_each_row_its_own_values_bitwise(family):
     thetas = problem.initial_theta() + 0.5 * rng.standard_normal((5, problem.full_dim))
     losses, grads = problem.task_losses(thetas), problem.task_gradients(thetas)
     subset = problem.task_gradients(thetas, (2, 0))
+    table = [(3, 1), (0, 0), (2, 3), (1, 2), (3, 0)]
+    per_row = problem.task_gradients(thetas, np.array(table))
     assert losses.shape == (5, 4) and grads.shape == (5, 4, problem.full_dim)
-    for theta, row_losses, row_grads, row_subset in zip(thetas, losses, grads, subset):
+    assert per_row.shape == (5, 2, problem.full_dim)
+    for theta, row_losses, row_grads, row_subset, row_tasks, row_per_row in zip(
+            thetas, losses, grads, subset, table, per_row):
         assert row_losses.tobytes() == problem.task_losses(theta).tobytes()
         assert row_grads.tobytes() == problem.task_gradients(theta).tobytes()
         assert row_subset.tobytes() == problem.task_gradients(theta, (2, 0)).tobytes()
+        assert row_per_row.tobytes() == problem.task_gradients(theta, row_tasks).tobytes()
+    assert problem.task_gradients(thetas, table).tobytes() == per_row.tobytes()
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
@@ -123,11 +135,26 @@ def test_task_indices_outside_the_tasks_are_rejected(family, bad):
     problem = _FAMILIES[family]
     with pytest.raises(ValueError, match=rf"task index {bad!r} .* K = 4"):
         problem.task_gradients(problem.initial_theta(), (0, bad))
+    thetas = np.repeat(problem.initial_theta()[None], 2, 0)
+    with pytest.raises(ValueError, match=rf"task index {bad!r} .* K = 4"):
+        problem.task_gradients(thetas, [(1, 2), (0, bad)])
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_a_task_array_needs_one_row_per_parameter_row(family):
+    problem = _FAMILIES[family]
+    thetas = np.repeat(problem.initial_theta()[None], 3, 0)
+    for tasks, theta in [(np.zeros((2, 1), int), thetas), (np.zeros((4, 1), int), thetas),
+                         (np.zeros((1, 1), int), problem.initial_theta())]:
+        with pytest.raises(ValueError, match="rows of tasks for parameters of shape"):
+            problem.task_gradients(theta, tasks)
 
 
 def test_stl_baselines_request_one_gradient_row_per_step():
+    """The K single-task runs step in lockstep: each call asks for one
+    gradient row per member, the gradient of that member's own task."""
     problem = make_mlp_problem(k=8, input_dim=2, width=8, n_samples=16, seed=1)
-    rows = []
+    shapes = []
 
     class Counting:
         def __getattr__(self, name):
@@ -135,12 +162,70 @@ def test_stl_baselines_request_one_gradient_row_per_step():
 
         def task_gradients(self, theta, tasks=None):
             grads = problem.task_gradients(theta, tasks)
-            rows.append(grads.shape[0])
+            shapes.append(grads.shape[:-1])
             return grads
 
     run_stl_baselines(Counting(), 5)
-    assert len(rows) == 8 * 5
-    assert sum(rows) == 8 * 5
+    assert shapes == [(8, 1)] * 5
+    assert sum(math.prod(shape) for shape in shapes) == 8 * 5
+
+
+# ---------------------------------------------------------------------------
+# the MLP kernel against its one-row, one-task oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _mlp_batch_and_tasks(draw):
+    k = draw(st.integers(1, 8))
+    problem = make_mlp_problem(k=k, input_dim=draw(st.integers(1, 3)),
+                               width=draw(st.integers(1, 16)),
+                               n_samples=draw(st.integers(1, 64)),
+                               seed=draw(st.integers(0, 2**16)))
+    r = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    thetas = problem.initial_theta() + 0.5 * rng.standard_normal((r, problem.full_dim))
+    t = draw(st.integers(1, k))
+    task = st.integers(0, k - 1)
+    tasks = draw(st.one_of(
+        st.none(),
+        st.lists(task, min_size=t, max_size=t),
+        st.lists(st.lists(task, min_size=t, max_size=t), min_size=r, max_size=r)))
+    return problem, thetas, tasks
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_mlp_batch_and_tasks())
+def test_the_mlp_kernel_equals_its_one_row_oracle_bitwise(case):
+    problem, thetas, tasks = case
+    losses = problem.task_losses(thetas)
+    grads = problem.task_gradients(thetas, None if tasks is None else np.array(tasks))
+    for r, theta in enumerate(thetas):
+        row_tasks = tasks if tasks is None or np.ndim(tasks) == 1 else tasks[r]
+        assert losses[r].tobytes() == oracle_mlp_task_losses(problem, theta).tobytes()
+        assert grads[r].tobytes() == \
+            oracle_mlp_task_gradients(problem, theta, row_tasks).tobytes()
+
+
+def test_the_mlp_forward_pass_is_kept_for_the_same_values_only():
+    """A step's losses and gradients share one forward pass; a parameter
+    written in place between them, or a NaN one, gets a pass of its own."""
+    problem = make_mlp_problem(k=3, input_dim=2, width=8, n_samples=16, seed=2)
+    theta = problem.initial_theta()[None] + 0.1
+    problem.task_losses(theta)
+    kept = problem._memo
+    problem.task_gradients(theta)
+    assert problem._memo is kept
+    theta[0, :5] += 0.25
+    assert problem.task_gradients(theta)[0].tobytes() == \
+        oracle_mlp_task_gradients(problem, theta[0]).tobytes()
+    assert problem._memo is not kept
+    assert problem.task_losses(theta)[0].tobytes() == \
+        oracle_mlp_task_losses(problem, theta[0]).tobytes()
+    theta[0, 0] = np.nan
+    problem.task_losses(theta)
+    kept = problem._memo
+    problem.task_gradients(theta)
+    assert problem._memo is not kept
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +343,20 @@ def test_stl_baselines_reach_quadratic_optima():
 def test_stl_baselines_equal_the_full_matrix_oracle_bytewise(problem, iters):
     assert run_stl_baselines(problem, iters).tobytes() == \
         oracle_stl_baselines(problem, iters).tobytes()
+
+
+def test_stl_baselines_keep_the_best_loss_of_a_run_that_turns_nan():
+    """Task 1's run overflows to inf and then NaN (from step 194); its
+    baseline is still the best finite loss it saw, as with Python's min
+    (``np.minimum`` would give NaN).  The bytes are those of the per-task
+    loop the lockstep runs replaced: 0.5 and 21.24999999999999."""
+    problem = make_quadratic_problem(k=2, d=3, scales=[1.0, 40.0],
+                                     conflict_angle=math.pi / 3, seed=0,
+                                     offsets=[0.5, 1.25], step_size=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        baselines = run_stl_baselines(problem, 2000)
+        assert baselines.tobytes() == oracle_stl_baselines(problem, 2000).tobytes()
+    assert baselines.tobytes().hex() == "000000000000e03ffdffffffff3f3540"
 
 
 def test_stl_baselines_solve_realizable_mlp():
